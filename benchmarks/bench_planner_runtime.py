@@ -25,7 +25,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.planner import _plan_region, plan_region
+from repro import api
+from repro.api import PlannerConfig
 from repro.obs import profile_plan
 from repro.region.catalog import make_region
 
@@ -49,7 +50,7 @@ GOLDEN_COLD_SOLVES = 7
 
 def plan_mid_region():
     instance = make_region(map_index=2, n_dcs=10, dc_fibers=8)
-    return plan_region(instance.spec)
+    return api.plan(instance.spec)
 
 
 def test_planner_runtime(benchmark, report):
@@ -92,7 +93,7 @@ def test_planner_phase_profile(report):
     if os.environ.get("REPRO_FULL_SCALE"):
         t0 = time.perf_counter()
         instance = make_region(map_index=1, n_dcs=20, dc_fibers=8)
-        big = plan_region(instance.spec)
+        big = api.plan(instance.spec)
         elapsed = time.perf_counter() - t0
         report(f"        20-DC full scale      paper minutes  measured "
                f"{elapsed / 60:.1f} min")
@@ -107,11 +108,11 @@ def test_planner_serial_vs_parallel(report):
     jobs = min(4, cores) if cores >= 2 else 2
 
     t0 = time.perf_counter()
-    serial = _plan_region(instance.spec, jobs=1)
+    serial = api.plan(instance.spec, config=PlannerConfig(jobs=1))
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = _plan_region(instance.spec, jobs=jobs)
+    parallel = api.plan(instance.spec, config=PlannerConfig(jobs=jobs))
     parallel_s = time.perf_counter() - t0
 
     assert serial.topology == parallel.topology

@@ -25,7 +25,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.core.planner import _plan_region
+from repro import api
 from repro.cost.estimator import estimate_cost
 from repro.designs import get_design
 from repro.designs.robust import TrafficEnsembleSpec, plan_robust
@@ -61,7 +61,7 @@ FCT_ENSEMBLE_SEED = 99
 
 def _design_costs(region) -> dict[str, float]:
     """Total equipment cost per design on ``region``."""
-    iris_plan = _plan_region(region)
+    iris_plan = api.plan(region)
     robust_plan = plan_robust(region)
     return {
         "iris": estimate_cost(iris_plan.inventory()).total,

@@ -33,8 +33,8 @@ from pathlib import Path
 
 import networkx as nx
 
+from repro import api
 from repro.core.hose import clear_hose_cache
-from repro.core.planner import _plan_region
 from repro.region.catalog import make_region
 from repro.region.delta import RegionDelta
 from repro.serialize import plan_to_json, region_to_dict
@@ -109,13 +109,13 @@ def _measure_direction(base_plan, delta):
 
     def cold():
         clear_hose_cache()
-        return _plan_region(mutated)
+        return api.plan(mutated)
 
     cold_s, cold_plan = _best_of(cold)
 
     # Rewarm exactly what a live daemon would hold: the base plan's run.
     clear_hose_cache()
-    _plan_region(base_plan.region)
+    api.plan(base_plan.region)
 
     stats = DeltaStats()
 
@@ -174,7 +174,7 @@ def _measure_golden():
 
     instance = make_region(**GOLDEN_REGION)
     clear_hose_cache()
-    base_plan = _plan_region(instance.spec)
+    base_plan = api.plan(instance.spec)
 
     add = _bypass_delta(base_plan)
     add_cold_s, add_patched_s, widened, add_stats = _measure_direction(
@@ -276,7 +276,7 @@ def _smoke() -> int:
     """A fast pass on a small region: parity + coalescing, no speed gate."""
     instance = make_region(map_index=0, n_dcs=4, dc_fibers=6)
     clear_hose_cache()
-    base_plan = _plan_region(instance.spec)
+    base_plan = api.plan(instance.spec)
     delta = _bypass_delta(base_plan)
     cold_s, patched_s, _plan, stats = _measure_direction(base_plan, delta)
     print(

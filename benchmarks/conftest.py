@@ -42,21 +42,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def mini_sweep_records():
     """The Fig 12 mini design-space sweep, planned once per session."""
-    from repro.analysis.designspace import default_mini_sweep, run_sweep
+    from repro.analysis.designspace import default_mini_sweep
+    from repro.api import sweep
 
-    return run_sweep(default_mini_sweep())
+    return sweep(default_mini_sweep())
 
 
 @pytest.fixture(scope="session")
 def sample_plans():
     """A handful of full Iris plans reused by the appendix benches."""
-    from repro.core.planner import plan_region
+    from repro import api
     from repro.region.catalog import make_region
 
     plans = []
     for map_index, n_dcs in ((0, 5), (1, 5), (2, 6), (3, 8)):
         instance = make_region(map_index=map_index, n_dcs=n_dcs, dc_fibers=8)
-        plans.append(plan_region(instance.spec))
+        plans.append(api.plan(instance.spec))
     return plans
 
 

@@ -15,8 +15,8 @@ Run:  python examples/closed_loop_operations.py
 
 import random
 
+from repro import api
 from repro.control import DemandEstimator, IrisController
-from repro.core.planner import plan_region
 from repro.region.catalog import make_region
 from repro.region.fibermap import duct_key
 from repro.simulation.failover import FailoverConfig, run_failover
@@ -26,7 +26,7 @@ def main() -> None:
     print("=== 1. planning a 2-cut-tolerant region ===")
     instance = make_region(map_index=1, n_dcs=4, dc_fibers=8)
     region = instance.spec
-    plan = plan_region(region)
+    plan = api.plan(region)
     print(f"{len(plan.topology.scenario_paths)} failure scenarios "
           f"pre-planned; {plan.topology.total_fiber_pairs()} base fiber-pairs")
 

@@ -8,7 +8,8 @@ resulting network against the electrical packet-switched baseline.
 Run:  python examples/quickstart.py
 """
 
-from repro import plan_region
+from repro import api
+from repro.api import PlannerConfig
 from repro.cost import estimate_cost
 from repro.designs import eps_inventory, hybridize
 from repro.region import make_region
@@ -25,7 +26,9 @@ def main() -> None:
               f"({region.fibers(dc)} fibers x {region.wavelengths_per_fiber} waves)")
 
     print("\n=== planning (OC1-OC4: 120 km SLA, shortest paths, 2-cut tolerant) ===")
-    plan = plan_region(region)
+    # One entry point; PlannerConfig holds every execution option
+    # (jobs, backend, store, ...). Plans are byte-identical across jobs.
+    plan = api.plan(region, config=PlannerConfig(jobs=1))
     topo = plan.topology
     print(f"failure scenarios: {len(topo.scenario_paths)} enumerated "
           f"(pruned from {topo.scenario_count_total})")

@@ -8,7 +8,7 @@ reconfiguration over a faulty transport, verification, and audit.
 Run:  python examples/reconfiguration_lifecycle.py
 """
 
-from repro import plan_region
+from repro import api
 from repro.analysis.toy import toy_region
 from repro.control import FaultInjector, IrisController, compute_target
 
@@ -22,7 +22,7 @@ def show(report, label: str) -> None:
 def main() -> None:
     print("=== planning the Fig 10 toy region (4 DCs x 160 Tbps) ===")
     region = toy_region()
-    plan = plan_region(region)
+    plan = api.plan(region)
     print(f"base fiber-pairs: {plan.topology.total_fiber_pairs()}, "
           f"residual spans: {plan.residual_fiber_pairs()}")
 

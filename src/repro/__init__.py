@@ -36,7 +36,6 @@ from repro.region.fibermap import (
     duct_key,
 )
 from repro.core.engine import PlanTimings
-from repro.core.planner import IrisPlanner, plan_region
 from repro.cost.pricebook import PriceBook
 from repro.cost.estimator import estimate_cost
 from repro.designs.base import Design, available_designs, get_design
@@ -58,9 +57,7 @@ __all__ = [
     "OperationalConstraints",
     "RegionSpec",
     "duct_key",
-    "IrisPlanner",
     "PlanTimings",
-    "plan_region",
     "Design",
     "get_design",
     "available_designs",

@@ -8,7 +8,6 @@ from repro.analysis.designspace import (
     SweepRecord,
     default_mini_sweep,
     full_paper_sweep,
-    run_sweep,
 )
 from repro.analysis.toy import toy_example_summary
 from repro.analysis.complexity import (
@@ -27,7 +26,6 @@ __all__ = [
     "SweepRecord",
     "default_mini_sweep",
     "full_paper_sweep",
-    "run_sweep",
     "toy_example_summary",
     "eps_complexity",
     "iris_complexity",

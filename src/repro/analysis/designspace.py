@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.engine import get_backend, worker_safe
-from repro.core.planner import IrisPlanner
+from repro.core.planner import plan_iris
+from repro.core.topology import plan_topology
 from repro.cost.estimator import estimate_cost
 from repro.exceptions import InfeasibleRegionError, PlanningError, ReproError
 from repro.cost.pricebook import PriceBook
@@ -32,7 +33,7 @@ from repro.region.catalog import RegionInstance, make_region
 from repro.region.fibermap import OperationalConstraints, RegionSpec
 
 if TYPE_CHECKING:
-    from repro.store import PlanStore
+    from repro.api import PlannerConfig
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,9 @@ def _plan_sweep_point(
     topology). Module-level so the sweep can fan grid points out over a
     process pool; each worker plans serially (no nested pools).
     """
+    from repro.api import PlannerConfig
+
+    serial = PlannerConfig()
     out: list[tuple] = []
     for point in chunk:
         # Randomized placement occasionally yields a region the planner
@@ -136,7 +140,7 @@ def _plan_sweep_point(
                 placement_seed=None if attempt == 0 else 881 * attempt,
             )
             try:
-                plan = IrisPlanner(instance.spec).plan()
+                plan = plan_iris(instance.spec, serial)
                 break
             except (InfeasibleRegionError, PlanningError) as exc:
                 last_error = exc
@@ -150,7 +154,7 @@ def _plan_sweep_point(
             wavelengths_per_fiber=point.wavelengths,
             constraints=OperationalConstraints(failure_tolerance=0),
         )
-        tol0_topology = IrisPlanner(tol0_spec).plan_topology()
+        tol0_topology = plan_topology(tol0_spec)
         out.append((instance, plan, tol0_spec, tol0_topology))
     return out
 
@@ -222,67 +226,23 @@ def _decode_sweep_cell(payload: dict[str, Any]) -> tuple:
         raise ReproError(f"malformed sweep cell: {exc}") from exc
 
 
-# Sentinel distinguishing "caller never passed this keyword" from any real
-# value, so :func:`run_sweep` only warns about explicit legacy usage.
-_UNSET: Any = object()
-
-
-def run_sweep(
-    points: Iterable[SweepPoint],
-    prices: PriceBook | None = None,
-    failure_tolerance: int = 2,
-    jobs: "int | None | Any" = _UNSET,
-    store: "PlanStore | None | Any" = _UNSET,
-) -> list[SweepRecord]:
-    """Plan and price every scenario (the historical entry point).
-
-    .. deprecated::
-        Passing the execution options (``jobs``, ``store``) directly is
-        deprecated in favor of :func:`repro.api.sweep` with a single
-        :class:`repro.api.PlannerConfig`; doing so emits a
-        :class:`DeprecationWarning` but behaves identically. The domain
-        arguments (``points``, ``prices``, ``failure_tolerance``) are
-        not deprecated.
-    """
-    explicit = {
-        name: value
-        for name, value in (("jobs", jobs), ("store", store))
-        if value is not _UNSET
-    }
-    if explicit:
-        import warnings
-
-        warnings.warn(
-            "run_sweep's loose execution options ("
-            + ", ".join(sorted(explicit))
-            + ") are deprecated; use repro.api.sweep(points, "
-            "config=PlannerConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _run_sweep(
-        points, prices=prices, failure_tolerance=failure_tolerance, **explicit
-    )
-
-
-def _run_sweep(
+def sweep_grid(
     points: Iterable[SweepPoint],
     *,
-    prices: PriceBook | None = None,
-    failure_tolerance: int = 2,
-    jobs: int | None = 1,
-    backend: str | None = None,
-    store: "PlanStore | None" = None,
+    prices: PriceBook | None,
+    failure_tolerance: int,
+    config: "PlannerConfig",
 ) -> list[SweepRecord]:
-    """Plan and price every scenario. Plans are cached per (map, n, f)
-    since the wavelength count only affects pricing.
+    """Plan and price every scenario (the body of :func:`repro.api.sweep`).
+    Plans are cached per (map, n, f) since the wavelength count only
+    affects pricing.
 
-    ``jobs`` fans the per-(map, n, f) planning out over worker processes
-    (grid-point parallelism); pricing stays in the parent, so records are
-    identical to a serial run. ``backend`` selects the execution backend
-    by name (see :func:`repro.core.engine.get_backend`).
+    ``config.jobs`` fans the per-(map, n, f) planning out over worker
+    processes (grid-point parallelism); pricing stays in the parent, so
+    records are identical to a serial run. ``config.backend`` selects the
+    execution backend by name (see :func:`repro.core.engine.get_backend`).
 
-    ``store`` checkpoints each cell's planning products as that cell
+    ``config.store`` checkpoints each cell's planning products as that cell
     finishes (not at the end of the sweep), so an interrupted campaign
     resumed against the same store replans only the incomplete cells and
     produces byte-identical records. Cached and fresh cells go through
@@ -300,28 +260,28 @@ def _run_sweep(
         key = (point.map_index, point.n_dcs, point.dc_fibers)
         key_points.setdefault(key, point)
 
+    from repro.store import load
+
+    store = config.store
     plan_cache: dict[tuple[int, int, int], tuple] = {}
     pending: list[tuple[tuple[int, int, int], SweepPoint]] = []
     for key, point in key_points.items():
-        cached = (
-            store.get(_cell_key(point, failure_tolerance))
+        cell = (
+            load(store, _cell_key(point, failure_tolerance), _decode_sweep_cell)
             if store is not None
             else None
         )
-        if cached is not None:
-            try:
-                plan_cache[key] = _decode_sweep_cell(cached)
-                continue
-            except ReproError:
-                pass  # stale cell: replan it below, the put heals the entry
-        pending.append((key, point))
+        if cell is not None:
+            plan_cache[key] = cell
+        else:
+            pending.append((key, point))
 
     if pending:
         # One point per chunk: the pool load-balances (each grid point is
         # minutes of work at paper scale) and every completed cell can be
         # checkpointed the moment its result streams back.
         chunks = [[point] for _, point in pending]
-        with get_backend(jobs, backend) as engine_backend:
+        with get_backend(config.jobs, config.backend) as engine_backend:
             for (key, point), result in zip(
                 pending,
                 engine_backend.iter_chunks(

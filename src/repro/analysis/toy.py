@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.planner import plan_region
+from repro import api
 from repro.cost.estimator import estimate_cost
 from repro.cost.pricebook import PriceBook
 from repro.designs.eps import eps_inventory
@@ -62,7 +62,7 @@ def toy_example_summary(prices: PriceBook | None = None) -> ToySummary:
     """Reproduce every §3.4 number from the planner and cost model."""
     prices = prices or PriceBook.default()
     region = toy_region()
-    plan = plan_region(region)
+    plan = api.plan(region)
     iris_inv = plan.inventory()
     eps_inv = eps_inventory(region, plan.topology)
 

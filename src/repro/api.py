@@ -1,10 +1,9 @@
-"""repro.api: the consolidated planning surface.
+"""repro.api: the planning surface.
 
 One facade over the three workflows the repo supports — planning a region,
 sweeping the Fig 12 design space, and running the flow-level simulation —
 with every execution option gathered into a single keyword-only
-:class:`PlannerConfig` instead of loose keyword arguments scattered across
-entry points::
+:class:`PlannerConfig`::
 
     from repro.api import PlannerConfig, plan, sweep, simulate
 
@@ -12,23 +11,8 @@ entry points::
     records = sweep(points, config=PlannerConfig(jobs=4, store=store))
     outcome = simulate()  # paper-default scenario
 
-Migration from the historical loose-keyword entry points
-(:func:`repro.core.planner.plan_region`,
-:func:`repro.analysis.designspace.run_sweep` — both still work, emitting
-``DeprecationWarning`` when their loose options are passed):
-
-===========================  =============================
-old loose keyword            ``PlannerConfig`` field
-===========================  =============================
-``jobs=4``                   ``jobs=4``
-``store=PlanStore(...)``     ``store=PlanStore(...)``
-``prune_enumeration=False``  ``prune_enumeration=False``
-``validate=False``           ``validate=False``
-(not previously exposed)     ``backend="steal"``
-(not previously exposed)     ``trace=True``
-``REPRO_HOSE_CACHE_MAXSIZE`` ``hose_cache_maxsize=...``
-``REPRO_HOSE_STATE_MAXSIZE`` ``hose_state_maxsize=...``
-===========================  =============================
+:func:`plan` is the one way to plan a region; :func:`apply_delta` patches
+a plan under a :class:`repro.region.RegionDelta` with the same config.
 
 The module imports lazily: ``import repro`` pulls in :class:`PlannerConfig`
 without loading the planner, simulator, or sweep machinery.
@@ -44,7 +28,6 @@ if TYPE_CHECKING:
     from repro.core.plan import IrisPlan
     from repro.cost.pricebook import PriceBook
     from repro.designs.robust import TrafficEnsembleSpec
-    from repro.obs import SpanRecord
     from repro.region.fibermap import RegionSpec
     from repro.simulation.scenarios import ScenarioConfig, ScenarioResult
     from repro.store import PlanStore
@@ -52,7 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PlannerConfig",
     "apply_delta",
-    "last_trace",
     "plan",
     "simulate",
     "sweep",
@@ -85,18 +67,6 @@ class PlannerConfig:
         is exponentially slower and only useful to validate the pruning.
     ``validate``
         Check every scenario path against TC1-TC4/OC1 after planning.
-    ``trace``
-        Run :func:`plan` under :func:`repro.obs.tracing` and keep the
-        finished span tree retrievable via :func:`last_trace`. Only
-        :func:`plan` honors this; :func:`sweep` ignores it (worker
-        shards are merged by the planner itself).
-    ``hose_cache_maxsize`` / ``hose_state_maxsize``
-        Per-process hose-cache bounds (value-memo entries / residual
-        networks kept for incremental repair). ``None`` defers to the
-        ``REPRO_HOSE_CACHE_MAXSIZE`` / ``REPRO_HOSE_STATE_MAXSIZE``
-        environment fallbacks, then the built-in defaults; an explicit
-        value rebuilds the cache via
-        :func:`repro.core.hose.configure_hose_cache` before planning.
     ``traffic``
         A :class:`repro.designs.robust.TrafficEnsembleSpec` configuring
         the TM ensemble for ``design="robust"`` (default spec when
@@ -110,35 +80,10 @@ class PlannerConfig:
     store: "PlanStore | None" = None
     prune_enumeration: bool = True
     validate: bool = True
-    trace: bool = False
-    hose_cache_maxsize: int | None = None
-    hose_state_maxsize: int | None = None
     traffic: "TrafficEnsembleSpec | None" = None
 
 
 _DEFAULT_CONFIG = PlannerConfig()
-
-# Single-slot holder for the most recent trace captured by ``plan(...,
-# config=PlannerConfig(trace=True))``; a mutable container rather than a
-# rebound module global so readers always see the latest record.
-_LAST_TRACE: list = [None]
-
-
-def last_trace() -> "SpanRecord | None":
-    """The span tree of the most recent traced :func:`plan` call, if any."""
-    return _LAST_TRACE[0]
-
-
-def _apply_hose_config(config: PlannerConfig) -> None:
-    """Rebuild the hose cache when the config pins explicit bounds."""
-    if config.hose_cache_maxsize is None and config.hose_state_maxsize is None:
-        return
-    from repro.core.hose import configure_hose_cache
-
-    configure_hose_cache(
-        maxsize=config.hose_cache_maxsize,
-        state_maxsize=config.hose_state_maxsize,
-    )
 
 
 def plan(
@@ -158,59 +103,23 @@ def plan(
     (e.g. ``hubs=`` for ``"centralized"``) are forwarded to the designer.
     """
     config = config or _DEFAULT_CONFIG
-    _apply_hose_config(config)
-    if config.trace:
-        from repro import obs
-
-        with obs.tracing("repro.api.plan") as tracer:
-            result = _plan(region, design, config, design_options)
-        _LAST_TRACE[0] = tracer.record()
-        return result
-    return _plan(region, design, config, design_options)
-
-
-def _plan(
-    region: "RegionSpec",
-    design: str,
-    config: PlannerConfig,
-    design_options: dict[str, Any],
-) -> Any:
     if design == "iris" and not design_options:
-        from repro.core.planner import _plan_region
+        from repro.core.planner import plan_iris
 
-        return _plan_region(
-            region,
-            prune_enumeration=config.prune_enumeration,
-            validate=config.validate,
-            jobs=config.jobs,
-            backend=config.backend,
-            store=config.store,
-        )
+        return plan_iris(region, config)
 
     if design == "robust" and not design_options:
         # Like iris, the robust design returns the full IrisPlan from the
         # facade (the registry adapter returns only the Inventory).
         from repro.designs.robust import plan_robust
 
-        return plan_robust(
-            region,
-            traffic=config.traffic,
-            prune_enumeration=config.prune_enumeration,
-            validate=config.validate,
-            jobs=config.jobs,
-            backend=config.backend,
-            store=config.store,
-        )
+        return plan_robust(region, config=config)
 
-    from repro.designs.base import get_design
+    from repro.designs.base import PLANNER_DESIGNS, get_design
 
     options = dict(design_options)
-    if design in ("iris", "eps", "hybrid", "robust"):
-        options.setdefault("jobs", config.jobs)
-        options.setdefault("backend", config.backend)
-        options.setdefault("store", config.store)
-    if design == "robust" and config.traffic is not None:
-        options.setdefault("traffic", config.traffic)
+    if design in PLANNER_DESIGNS:
+        options.setdefault("config", config)
     return get_design(design, **options).plan(region)
 
 
@@ -231,19 +140,9 @@ def apply_delta(
     for :func:`plan`; ``verify=True`` additionally runs the cold replan
     and raises on any divergence (for tests and drills).
     """
-    config = config or _DEFAULT_CONFIG
-    _apply_hose_config(config)
     from repro.service.replan import apply_delta as _apply_delta
 
-    return _apply_delta(
-        plan,
-        delta,
-        jobs=config.jobs,
-        backend=config.backend,
-        prune_enumeration=config.prune_enumeration,
-        validate=config.validate,
-        verify=verify,
-    )
+    return _apply_delta(plan, delta, config=config, verify=verify)
 
 
 def sweep(
@@ -254,23 +153,19 @@ def sweep(
     config: PlannerConfig | None = None,
 ) -> "list[SweepRecord]":
     """Plan and price the Fig 12 design-space grid (see
-    :func:`repro.analysis.designspace._run_sweep` for semantics).
+    :func:`repro.analysis.designspace.sweep_grid` for semantics).
 
     ``config`` supplies the execution options (``jobs``, ``backend``,
-    ``store``, hose-cache bounds); the domain arguments stay positional
-    on this facade because they are inputs, not execution details.
+    ``store``); the domain arguments stay on this facade because they are
+    inputs, not execution details.
     """
-    config = config or _DEFAULT_CONFIG
-    _apply_hose_config(config)
-    from repro.analysis.designspace import _run_sweep
+    from repro.analysis.designspace import sweep_grid
 
-    return _run_sweep(
+    return sweep_grid(
         points,
         prices=prices,
         failure_tolerance=failure_tolerance,
-        jobs=config.jobs,
-        backend=config.backend,
-        store=config.store,
+        config=config or _DEFAULT_CONFIG,
     )
 
 

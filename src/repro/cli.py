@@ -221,13 +221,13 @@ def cmd_plan(args) -> int:
 
 def cmd_cost(args) -> int:
     """Itemized Iris / hybrid / EPS cost comparison."""
-    from repro.core.planner import plan_region
+    from repro import api
     from repro.cost.estimator import estimate_cost
     from repro.designs.eps import eps_inventory
     from repro.designs.hybrid import hybridize
 
     region, _ = _load_region(args)
-    plan = plan_region(region)
+    plan = api.plan(region)
     iris = estimate_cost(plan.inventory())
     eps = estimate_cost(eps_inventory(region, plan.topology))
     hybrid = estimate_cost(hybridize(plan).inventory())
@@ -371,11 +371,11 @@ def cmd_failover(args) -> int:
 
 
 def _failover_drill(region) -> int:
+    from repro import api
     from repro.control.controller import IrisController
-    from repro.core.planner import plan_region
     from repro.region.fibermap import duct_key
 
-    plan = plan_region(region)
+    plan = api.plan(region)
     controller = IrisController(plan)
     dcs = region.dcs
     demand = {

@@ -26,7 +26,6 @@ from repro.core.topology import plan_topology, compute_scenario_paths
 from repro.core.amplifiers import place_amplifiers
 from repro.core.cutthrough import place_cut_throughs
 from repro.core.residual import residual_fiber_pairs
-from repro.core.planner import IrisPlanner, plan_region
 
 __all__ = [
     "AmplifierPlan",
@@ -51,6 +50,4 @@ __all__ = [
     "place_amplifiers",
     "place_cut_throughs",
     "residual_fiber_pairs",
-    "IrisPlanner",
-    "plan_region",
 ]

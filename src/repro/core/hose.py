@@ -288,26 +288,11 @@ def _repair(
 _DEFAULT_MAXSIZE = 200_000
 #: Default bound on retained residual networks (the incremental substrate).
 _DEFAULT_STATE_MAXSIZE = 4_096
-#: Environment fallbacks, read when the cache is (re)built; an explicit
-#: :func:`configure_hose_cache` call wins over the environment.
-MAXSIZE_ENV = "REPRO_HOSE_CACHE_MAXSIZE"
-STATE_MAXSIZE_ENV = "REPRO_HOSE_STATE_MAXSIZE"
 #: Stored residuals examined per requested pair when picking a repair
 #: source (most recent first); bounds repair-candidate scanning.
 _CANDIDATES_PER_PAIR = 8
 #: Stored residuals remembered per pair in the index.
 _INDEX_PER_PAIR = 32
-
-
-def _env_size(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(0, value)
 
 
 class _HoseCache:
@@ -416,10 +401,7 @@ class _HoseCache:
 
 
 def _default_cache() -> _HoseCache:
-    return _HoseCache(
-        _env_size(MAXSIZE_ENV, _DEFAULT_MAXSIZE),
-        _env_size(STATE_MAXSIZE_ENV, _DEFAULT_STATE_MAXSIZE),
-    )
+    return _HoseCache(_DEFAULT_MAXSIZE, _DEFAULT_STATE_MAXSIZE)
 
 
 _cache = _default_cache()
@@ -446,11 +428,10 @@ def configure_hose_cache(
         cold — which is how the parity tests cross-check the repaired
         values.
 
-    Explicit arguments win over the ``REPRO_HOSE_CACHE_MAXSIZE`` /
-    ``REPRO_HOSE_STATE_MAXSIZE`` environment fallbacks, which are read
-    whenever a fresh cache is built (process start, fork, or
-    :func:`clear_hose_cache`). The cache is dropped and its counters
-    reset, exactly as :func:`clear_hose_cache` does.
+    The bounds hold in this process until the next
+    :func:`clear_hose_cache` (or a fork), which restores the defaults.
+    The cache is dropped and its counters reset, exactly as
+    :func:`clear_hose_cache` does.
     """
     global _cache
     current = _hose_cache()
@@ -464,9 +445,8 @@ def clear_hose_cache() -> None:
     """Drop all cached hose max-flows and reset the hit/miss counters.
 
     Long-lived sweep processes call this between regions to bound memory;
-    tests call it to measure cache behaviour from a clean slate. Bounds
-    are re-read from the environment fallbacks (see
-    :func:`configure_hose_cache`).
+    tests call it to measure cache behaviour from a clean slate. The
+    bounds return to their defaults (see :func:`configure_hose_cache`).
     """
     global _cache
     _cache = _default_cache()

@@ -1,21 +1,18 @@
 """The end-to-end Iris planner: Algorithm 1 + Algorithm 2 + cut-throughs +
 residual fibers, assembled into a validated :class:`~repro.core.plan.IrisPlan`.
 
-Typical use::
+Two functions carry the pipeline: :func:`plan_iris` runs Algorithm 1 over
+every tolerated duct-cut scenario and hands the topology to
+:func:`realize`, which places amplifiers and cut-throughs, sizes residual
+fibers and validates. The public entry point is :func:`repro.api.plan`::
 
     from repro.api import PlannerConfig, plan
     result = plan(region, config=PlannerConfig(jobs=4))
     inventory = result.inventory()
-
-:func:`plan_region` remains as the historical loose-keyword entry point;
-passing its keyword options directly now emits a :class:`DeprecationWarning`
-pointing at :func:`repro.api.plan`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
@@ -25,197 +22,111 @@ from repro.core.plan import IrisPlan, TopologyPlan
 from repro.core.residual import residual_fiber_pairs
 from repro.core.engine import CancelToken
 from repro.core.topology import plan_topology
-from repro.exceptions import PlanningError, ReproError
+from repro.exceptions import PlanningError
 from repro.region.fibermap import RegionSpec
 
 if TYPE_CHECKING:
-    from repro.store import PlanStore
+    from repro.api import PlannerConfig
 
 
-@dataclass
-class IrisPlanner:
-    """Planner for one region.
+def store_key(
+    region: RegionSpec, config: "PlannerConfig", *, design: str = "iris", **extra: Any
+) -> str:
+    """The store key of ``design``'s plan of ``region`` under ``config``.
 
-    ``prune_enumeration``
-        Use the exact pruned failure enumeration (default). Brute force is
-        exponentially slower and only useful for validating the pruning.
-    ``validate``
-        Check every scenario path against TC1-TC4/OC1 after planning and
-        raise :class:`PlanningError` on any violation (default).
-    ``jobs``
-        Execution backend for Algorithm 1's scenario evaluation (see
-        :mod:`repro.core.engine`): ``1`` (default) stays serial and never
-        spawns a worker pool, ``N > 1`` uses ``N`` worker processes, ``0``
-        uses every CPU. Plans are bit-identical across backends.
-    ``backend``
-        Backend name from :data:`repro.core.engine.BACKEND_NAMES`
-        (``"serial"``, ``"process"``, ``"steal"``). ``None`` (default)
-        picks serial for ``jobs=1`` and work-stealing otherwise.
-    ``cancel_token``
-        Optional :class:`repro.core.engine.CancelToken` checked at chunk
-        boundaries during Algorithm 1's fan-out, so the planner service
-        can cancel or time out a job mid-plan (it unwinds with
-        :class:`~repro.exceptions.JobCancelled`).
+    Only the options that change plan content enter the key
+    (``prune_enumeration``, ``validate``, plus a design's ``extra``
+    inputs); ``jobs``/``backend``/``store`` are execution details. The
+    CLI ``--store``, the planner service and :func:`plan_iris` share this
+    key, so a plan any of them writes is a hit for the others.
     """
-
-    region: RegionSpec
-    prune_enumeration: bool = True
-    validate: bool = True
-    jobs: int | None = 1
-    backend: str | None = None
-    cancel_token: CancelToken | None = None
-
-    def plan(self) -> IrisPlan:
-        """Produce the full Iris plan for the region."""
-        topology = self.plan_topology()
-        return self.plan_from_topology(topology)
-
-    def plan_topology(self) -> TopologyPlan:
-        """Run only Algorithm 1 (shared with the EPS baseline)."""
-        return plan_topology(
-            self.region,
-            prune_enumeration=self.prune_enumeration,
-            jobs=self.jobs,
-            backend=self.backend,
-            cancel_token=self.cancel_token,
-        )
-
-    def plan_from_topology(self, topology: TopologyPlan) -> IrisPlan:
-        """Complete the optical realization on a precomputed topology."""
-        with obs.span("plan.amplifiers") as span:
-            distance_amps, effective = place_amplifiers(self.region, topology)
-            span.incr("amplifiers.distance_sites", len(distance_amps.site_counts))
-        with obs.span("plan.cutthrough") as span:
-            cut_throughs, effective, amplifiers = place_cut_throughs(
-                self.region,
-                effective,
-                site_counts=distance_amps.site_counts,
-                assignments=distance_amps.assignments,
-            )
-            span.incr("cutthrough.links", len(cut_throughs))
-            span.incr("amplifiers.sites", len(amplifiers.site_counts))
-        with obs.span("plan.residual") as span:
-            residual = residual_fiber_pairs(self.region, topology)
-            span.incr("residual.fiber_pairs", sum(residual.values()))
-        plan = IrisPlan(
-            region=self.region,
-            topology=topology,
-            amplifiers=amplifiers,
-            cut_throughs=cut_throughs,
-            residual=residual,
-            effective_paths=effective,
-        )
-        if self.validate:
-            with obs.span("plan.validate") as span:
-                problems = plan.validate()
-                span.incr("validate.paths", len(plan.effective_paths))
-                span.incr("validate.violations", len(problems))
-            if problems:
-                raise PlanningError(
-                    "planned network violates constraints: "
-                    + " | ".join(problems[:5])
-                    + (f" (+{len(problems) - 5} more)" if len(problems) > 5 else "")
-                )
-        return plan
-
-
-# Sentinel distinguishing "caller never passed this keyword" from any real
-# value, so the deprecation shim below only warns about explicit usage.
-_UNSET: Any = object()
-
-
-def plan_region(
-    region: RegionSpec,
-    *,
-    prune_enumeration: bool | Any = _UNSET,
-    validate: bool | Any = _UNSET,
-    jobs: "int | None | Any" = _UNSET,
-    store: "PlanStore | None | Any" = _UNSET,
-) -> IrisPlan:
-    """Plan ``region`` end to end (the historical one-call entry point).
-
-    .. deprecated::
-        Passing the loose keyword options (``prune_enumeration``,
-        ``validate``, ``jobs``, ``store``) directly is deprecated in
-        favor of :func:`repro.api.plan` with a single
-        :class:`repro.api.PlannerConfig`; doing so emits a
-        :class:`DeprecationWarning` but behaves identically. A bare
-        ``plan_region(region)`` stays warning-free.
-    """
-    explicit = {
-        name: value
-        for name, value in (
-            ("prune_enumeration", prune_enumeration),
-            ("validate", validate),
-            ("jobs", jobs),
-            ("store", store),
-        )
-        if value is not _UNSET
-    }
-    if explicit:
-        warnings.warn(
-            "plan_region's loose keyword options ("
-            + ", ".join(sorted(explicit))
-            + ") are deprecated; use repro.api.plan(region, "
-            "config=PlannerConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _plan_region(region, **explicit)
-
-
-def _plan_region(
-    region: RegionSpec,
-    *,
-    prune_enumeration: bool = True,
-    validate: bool = True,
-    jobs: int | None = 1,
-    backend: str | None = None,
-    store: "PlanStore | None" = None,
-    cancel_token: CancelToken | None = None,
-) -> IrisPlan:
-    """Plan ``region`` end to end (the non-deprecated internal entry point).
-
-    :func:`repro.api.plan` is the public face of this function; the
-    parameters mirror :class:`IrisPlanner`'s fields — see there for
-    semantics.
-
-    ``store``
-        An optional :class:`repro.store.PlanStore`. Plans are pure
-        functions of (region, config), so on a hit the cached plan is
-        loaded instead of replanned — bit-identical to a fresh one
-        (``plan_to_json`` equality, parity-tested) — and on a miss the
-        fresh plan is checkpointed for next time. ``jobs`` and
-        ``backend`` are execution details and deliberately not part of
-        the cache key.
-    """
-    planner = IrisPlanner(
-        region,
-        prune_enumeration=prune_enumeration,
-        validate=validate,
-        jobs=jobs,
-        backend=backend,
-        cancel_token=cancel_token,
-    )
-    if store is None:
-        return planner.plan()
-
-    from repro.serialize import plan_from_dict, plan_to_dict
     from repro.store import plan_key
 
-    key = plan_key(
-        design="iris",
+    return plan_key(
+        design=design,
         region=region,
-        config={"prune_enumeration": prune_enumeration, "validate": validate},
+        config={
+            "prune_enumeration": config.prune_enumeration,
+            "validate": config.validate,
+            **extra,
+        },
     )
-    cached = store.get(key)
-    if cached is not None:
-        try:
-            return plan_from_dict(cached)
-        except ReproError:
-            # Decodable-but-stale payload (schema drift inside one store
-            # schema version): treat as a miss and heal it below.
-            pass
-    plan = planner.plan()
-    store.put(key, plan_to_dict(plan, full=True), kind="plan")
+
+
+def plan_iris(
+    region: RegionSpec,
+    config: "PlannerConfig",
+    *,
+    cancel_token: CancelToken | None = None,
+) -> IrisPlan:
+    """Plan ``region`` end to end under ``config``.
+
+    With ``config.store``, a stored plan is loaded instead of replanned —
+    bit-identical to a fresh one (``plan_to_json`` equality,
+    parity-tested) — and a fresh plan is checkpointed for next time.
+    ``cancel_token`` is checked at chunk boundaries of Algorithm 1's
+    fan-out, so the planner service can cancel or time out a job
+    mid-plan (it unwinds with :class:`~repro.exceptions.JobCancelled`).
+    """
+
+    def compute() -> IrisPlan:
+        topology = plan_topology(
+            region,
+            prune_enumeration=config.prune_enumeration,
+            jobs=config.jobs,
+            backend=config.backend,
+            cancel_token=cancel_token,
+        )
+        return realize(region, topology, config)
+
+    if config.store is None:
+        return compute()
+    from repro.store import cached
+
+    return cached(config.store, store_key(region, config), compute)
+
+
+def realize(
+    region: RegionSpec, topology: TopologyPlan, config: "PlannerConfig"
+) -> IrisPlan:
+    """Complete the optical realization of a planned topology.
+
+    Amplifiers (Algorithm 2), then cut-throughs, then residual fibers;
+    with ``config.validate``, every scenario path is checked against
+    TC1-TC4/OC1 and any violation raises :class:`PlanningError`.
+    """
+    with obs.span("plan.amplifiers") as span:
+        distance_amps, effective = place_amplifiers(region, topology)
+        span.incr("amplifiers.distance_sites", len(distance_amps.site_counts))
+    with obs.span("plan.cutthrough") as span:
+        cut_throughs, effective, amplifiers = place_cut_throughs(
+            region,
+            effective,
+            site_counts=distance_amps.site_counts,
+            assignments=distance_amps.assignments,
+        )
+        span.incr("cutthrough.links", len(cut_throughs))
+        span.incr("amplifiers.sites", len(amplifiers.site_counts))
+    with obs.span("plan.residual") as span:
+        residual = residual_fiber_pairs(region, topology)
+        span.incr("residual.fiber_pairs", sum(residual.values()))
+    plan = IrisPlan(
+        region=region,
+        topology=topology,
+        amplifiers=amplifiers,
+        cut_throughs=cut_throughs,
+        residual=residual,
+        effective_paths=effective,
+    )
+    if config.validate:
+        with obs.span("plan.validate") as span:
+            problems = plan.validate()
+            span.incr("validate.paths", len(plan.effective_paths))
+            span.incr("validate.violations", len(problems))
+        if problems:
+            raise PlanningError(
+                "planned network violates constraints: "
+                + " | ".join(problems[:5])
+                + (f" (+{len(problems) - 5} more)" if len(problems) > 5 else "")
+            )
     return plan

@@ -14,20 +14,25 @@ a design has a ``name`` and turns a region into an equipment
 The concrete designer classes here are thin, picklable adapters that fill
 in sensible defaults (auto-selected hubs, zone clustering, serial planning)
 and delegate to the underlying modules; the original free functions and
-classes remain available for callers that need full control.
+classes remain available for callers that need full control. The
+planner-backed kinds (:data:`PLANNER_DESIGNS`) take their execution
+options as one :class:`~repro.api.PlannerConfig`::
+
+    inventory = get_design("iris", config=PlannerConfig(store=store)).plan(region)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
+from repro.api import PlannerConfig
 from repro.cost.estimator import Inventory
 from repro.exceptions import ReproError
 from repro.region.fibermap import RegionSpec
 
-if TYPE_CHECKING:
-    from repro.store import PlanStore
+#: Design kinds planned through Algorithm 1, configured by one ``config``.
+PLANNER_DESIGNS = ("iris", "eps", "hybrid", "robust")
 
 
 @runtime_checkable
@@ -65,8 +70,7 @@ def get_design(kind: str, **options) -> Design:
 
     ``options`` are forwarded to the designer's constructor (e.g.
     ``hubs=`` for ``"centralized"``, ``zone_count=`` for
-    ``"semidistributed"``, ``jobs=``, ``backend=``, and ``store=`` for
-    the planner-backed kinds).
+    ``"semidistributed"``, ``config=`` for the planner-backed kinds).
     """
     try:
         factory = _REGISTRY[kind]
@@ -95,23 +99,19 @@ def _default_hubs(region: RegionSpec) -> tuple[str, ...]:
 class IrisDesign:
     """The paper's all-optical fiber-switched design (§4), fully planned.
 
-    An optional ``store`` checkpoints the underlying Iris plan in a
-    :class:`~repro.store.PlanStore`, so replanning the same region is a
-    load instead of a recompute (see :mod:`repro.store`).
+    A ``config.store`` checkpoints the underlying Iris plan, so replanning
+    the same region is a load instead of a recompute (see
+    :mod:`repro.store`).
     """
 
-    jobs: int | None = 1
-    backend: str | None = None
-    store: "PlanStore | None" = None
+    config: PlannerConfig = PlannerConfig()
 
     name = "iris"
 
     def plan(self, region: RegionSpec) -> Inventory:
-        from repro.core.planner import _plan_region
+        from repro.core.planner import plan_iris
 
-        return _plan_region(
-            region, jobs=self.jobs, backend=self.backend, store=self.store
-        ).inventory()
+        return plan_iris(region, self.config).inventory()
 
 
 @register_design("eps")
@@ -120,14 +120,12 @@ class EPSDesign:
     """The electrical packet-switched realization of Algorithm 1 (§4.2).
 
     EPS shares Algorithm 1 with Iris but realizes it electrically, so the
-    cacheable artifact is the bare topology: with a ``store``, the planned
-    :class:`~repro.core.plan.TopologyPlan` is keyed under
+    cacheable artifact is the bare topology: with a ``config.store``, the
+    planned :class:`~repro.core.plan.TopologyPlan` is keyed under
     ``design="eps"`` and loaded back bit-identically on later runs.
     """
 
-    jobs: int | None = 1
-    backend: str | None = None
-    store: "PlanStore | None" = None
+    config: PlannerConfig = PlannerConfig()
 
     name = "eps"
 
@@ -135,24 +133,25 @@ class EPSDesign:
         from repro.core.topology import plan_topology
         from repro.designs.eps import eps_inventory
 
-        if self.store is None:
-            return eps_inventory(
-                region,
-                plan_topology(region, jobs=self.jobs, backend=self.backend),
-            )
+        config = self.config
+
+        def compute():
+            return plan_topology(region, jobs=config.jobs, backend=config.backend)
+
+        if config.store is None:
+            return eps_inventory(region, compute())
 
         from repro.serialize import topology_from_dict, topology_to_dict
-        from repro.store import plan_key
+        from repro.store import cached, plan_key
 
-        key = plan_key(design="eps", region=region)
-        cached = self.store.get(key)
-        if cached is not None:
-            try:
-                return eps_inventory(region, topology_from_dict(cached))
-            except ReproError:
-                pass  # stale payload: fall through and replan
-        topology = plan_topology(region, jobs=self.jobs, backend=self.backend)
-        self.store.put(key, topology_to_dict(topology), kind="topology")
+        topology = cached(
+            config.store,
+            plan_key(design="eps", region=region),
+            compute,
+            kind="topology",
+            encode=topology_to_dict,
+            decode=topology_from_dict,
+        )
         return eps_inventory(region, topology)
 
 
@@ -161,20 +160,16 @@ class EPSDesign:
 class HybridDesign:
     """Iris with wavelength-switched residual combining (Appendix B)."""
 
-    jobs: int | None = 1
     max_combine: int = 4
-    backend: str | None = None
-    store: "PlanStore | None" = None
+    config: PlannerConfig = PlannerConfig()
 
     name = "hybrid"
 
     def plan(self, region: RegionSpec) -> Inventory:
-        from repro.core.planner import _plan_region
+        from repro.core.planner import plan_iris
         from repro.designs.hybrid import hybridize
 
-        plan = _plan_region(
-            region, jobs=self.jobs, backend=self.backend, store=self.store
-        )
+        plan = plan_iris(region, self.config)
         return hybridize(plan, max_combine=self.max_combine).inventory()
 
 

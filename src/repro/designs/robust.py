@@ -17,13 +17,13 @@ module is that planning mode for the Iris regional planner:
   robust capacity of every duct is ≤ the iris hose capacity: the ensemble
   buys a cheaper topology, never a larger one.
 * complete amplifiers / cut-throughs / residual fibers / validation with
-  the stock :class:`~repro.core.planner.IrisPlanner` machinery.
+  the stock :func:`repro.core.planner.realize`.
 
 Determinism: ensemble sampling uses one explicit ``random.Random``; duct
 loads are computed in sorted (duct, pair) order inside each chunk and
 merged by per-duct maximum, so ``jobs=1`` and ``jobs=N`` plans are
 byte-identical (``plan_to_json`` equality, parity-tested). With a
-``store``, plans are cached under a key that includes the **ensemble
+``config.store``, plans are cached under a key that includes the **ensemble
 digest** — two different ensembles never collide, identical specs hit.
 """
 
@@ -32,9 +32,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import obs
+from repro.api import PlannerConfig
 from repro.core.engine import PlanTimings, get_backend, worker_safe
 from repro.core.hose import (
     hose_cache_stats,
@@ -49,13 +50,10 @@ from repro.core.topology import (
 )
 from repro.cost.estimator import Inventory
 from repro.designs.base import register_design
-from repro.exceptions import ReproError, SimulationError
+from repro.exceptions import SimulationError
 from repro.region.fibermap import Duct, RegionSpec
 from repro.simulation.traffic import TrafficMatrix, sample_ensemble
 from repro.units import IRIS_MAX_DUCT_KM
-
-if TYPE_CHECKING:
-    from repro.store import PlanStore
 
 
 @dataclass(frozen=True)
@@ -284,76 +282,53 @@ def robust_topology(
 def plan_robust(
     region: RegionSpec,
     *,
+    config: PlannerConfig | None = None,
     ensemble: Sequence[TrafficMatrix] | None = None,
-    traffic: TrafficEnsembleSpec | None = None,
-    prune_enumeration: bool = True,
-    validate: bool = True,
-    jobs: int | None = 1,
-    backend: str | None = None,
-    store: "PlanStore | None" = None,
 ) -> IrisPlan:
     """Plan ``region`` robustly against a TM ensemble, end to end.
 
-    Pass either a pre-sampled ``ensemble`` or a ``traffic`` spec to
+    Pass either a pre-sampled ``ensemble`` or a ``config.traffic`` spec to
     sample one (default: :class:`TrafficEnsembleSpec`'s five matrices).
     Returns a full :class:`~repro.core.plan.IrisPlan` — same shape as the
     iris design, so serialization, inventories, and cost estimation work
     unchanged.
 
-    With a ``store``, the plan is cached under
+    With a ``config.store``, the plan is cached under
     ``plan_key(design="robust", ...)`` whose config embeds the ensemble
     digest: replanning the same region with the same ensemble is a load,
     any change to any TM weight is a miss.
     """
-    from repro.core.planner import IrisPlanner
+    from repro.core.planner import realize, store_key
 
+    config = config or PlannerConfig()
     if ensemble is None:
-        spec = traffic if traffic is not None else TrafficEnsembleSpec()
+        spec = config.traffic if config.traffic is not None else TrafficEnsembleSpec()
         ensemble = spec.build(region.dcs)
     ensemble = list(ensemble)
 
-    def fresh() -> IrisPlan:
+    def compute() -> IrisPlan:
         topology = robust_topology(
             region,
             ensemble,
-            prune_enumeration=prune_enumeration,
-            jobs=jobs,
-            backend=backend,
+            prune_enumeration=config.prune_enumeration,
+            jobs=config.jobs,
+            backend=config.backend,
         )
-        planner = IrisPlanner(
-            region,
-            prune_enumeration=prune_enumeration,
-            validate=validate,
-            jobs=jobs,
-            backend=backend,
-        )
-        return planner.plan_from_topology(topology)
+        return realize(region, topology, config)
 
-    if store is None:
-        return fresh()
+    if config.store is None:
+        return compute()
 
-    from repro.serialize import plan_from_dict, plan_to_dict
-    from repro.store import plan_key
+    from repro.store import cached
 
-    key = plan_key(
+    key = store_key(
+        region,
+        config,
         design="robust",
-        region=region,
-        config={
-            "prune_enumeration": prune_enumeration,
-            "validate": validate,
-            "tm_count": len(ensemble),
-            "tm_ensemble": ensemble_digest(ensemble),
-        },
+        tm_count=len(ensemble),
+        tm_ensemble=ensemble_digest(ensemble),
     )
-    cached = store.get(key)
-    if cached is not None:
-        try:
-            return plan_from_dict(cached)
-        except ReproError:
-            pass  # stale payload: fall through and replan
-    plan = fresh()
-    store.put(key, plan_to_dict(plan, full=True), kind="plan")
-    return plan
+    return cached(config.store, key, compute)
 
 
 @register_design("robust")
@@ -361,22 +336,13 @@ def plan_robust(
 class RobustDesign:
     """The multi-TM robust design, registered as ``"robust"``.
 
-    ``traffic`` configures the ensemble recipe; ``jobs``/``backend``/
-    ``store`` mirror the other planner-backed designs.
+    ``config.traffic`` configures the ensemble recipe; the other fields
+    mirror the other planner-backed designs.
     """
 
-    jobs: int | None = 1
-    backend: str | None = None
-    store: "PlanStore | None" = None
-    traffic: TrafficEnsembleSpec = TrafficEnsembleSpec()
+    config: PlannerConfig = PlannerConfig()
 
     name = "robust"
 
     def plan(self, region: RegionSpec) -> Inventory:
-        return plan_robust(
-            region,
-            traffic=self.traffic,
-            jobs=self.jobs,
-            backend=self.backend,
-            store=self.store,
-        ).inventory()
+        return plan_robust(region, config=self.config).inventory()

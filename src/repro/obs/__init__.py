@@ -7,17 +7,18 @@ instrumented hot paths cost one global read when nobody is watching.
 
 Typical use::
 
-    from repro import obs
+    from repro import api, obs
+    from repro.api import PlannerConfig
 
     with obs.tracing("my-run") as tracer:
-        plan = plan_region(region, jobs=4)
+        plan = api.plan(region, config=PlannerConfig(jobs=4))
     record = tracer.record()
     print(obs.render_tree(record))
     print(record.total("paths.scenarios"))
 
 or, for the common case of profiling one planning run::
 
-    result = obs.profile_plan(region, jobs=4)
+    result = obs.profile_plan(region, config=PlannerConfig(jobs=4))
     print(result.render())
 
 Span records are plain picklable trees (:class:`SpanRecord`); counter

@@ -15,6 +15,7 @@ from repro.obs.exporters import PhaseRow, aggregate, render_tree, to_csv_rows
 from repro.obs.tracer import SpanRecord, tracing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs <- core)
+    from repro.api import PlannerConfig
     from repro.core.plan import IrisPlan
     from repro.region.fibermap import RegionSpec
 
@@ -41,29 +42,19 @@ class ProfileResult:
 
 
 def profile_plan(
-    region: "RegionSpec",
-    *,
-    jobs: int | None = 1,
-    backend: str | None = None,
-    prune_enumeration: bool = True,
-    validate: bool = True,
+    region: "RegionSpec", *, config: "PlannerConfig | None" = None
 ) -> ProfileResult:
-    """Plan ``region`` with tracing enabled and aggregate the trace.
+    """Plan ``region`` under ``config`` with tracing enabled and aggregate
+    the trace.
 
-    Parameters mirror :class:`repro.api.PlannerConfig`. The plan is
-    bit-identical to an untraced run (parity-tested); only the returned
-    trace is extra.
+    The plan is bit-identical to an untraced :func:`repro.api.plan`
+    (parity-tested); only the returned trace is extra.
     """
     # Imported here, not at module top: repro.core imports repro.obs.
-    from repro.core.planner import _plan_region
+    from repro.api import PlannerConfig
+    from repro.core.planner import plan_iris
 
     with tracing("profile.plan") as tracer:
-        plan = _plan_region(
-            region,
-            prune_enumeration=prune_enumeration,
-            validate=validate,
-            jobs=jobs,
-            backend=backend,
-        )
+        plan = plan_iris(region, config or PlannerConfig())
     trace = tracer.record()
     return ProfileResult(plan=plan, trace=trace, phases=aggregate(trace))

@@ -8,8 +8,8 @@ worker processes exactly as in batch mode). The service adds three things
 the batch planner doesn't have:
 
 **Cache-aside over the store.** Every job is keyed with
-:func:`repro.store.keys.service_request_key` — the same function the
-batch planner's ``store=`` path uses — so a warm
+:func:`repro.core.planner.store_key` — the same function the batch
+planner's ``PlannerConfig(store=...)`` path uses — so a warm
 :class:`~repro.store.PlanStore` answers repeat requests without planning,
 and plans the daemon computes are checkpointed for the CLI to reuse.
 
@@ -25,7 +25,8 @@ is available (in-memory or in the store) the job runs
 output, typically ~an order of magnitude faster (``outcome: "patched"``).
 
 Every job outcome is counted (``queued``/``coalesced``/``store``/
-``patched``/``cold``/``rejected``/``completed``/``failed``/``timeouts``)
+``patched``/``cold``/``rejected``/``completed``/``failed``/``timeouts``),
+as is every connection dropped by a socket error (``connection_errors``),
 and mirrored into :mod:`repro.obs` under ``service.*``, so the stampede
 and smoke tests can assert "exactly one cold plan" from the counters.
 
@@ -47,13 +48,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro import __version__, obs
+from repro.api import PlannerConfig
 from repro.core.engine import CancelToken
 from repro.core.plan import IrisPlan
-from repro.core.planner import IrisPlanner
+from repro.core.planner import plan_iris, store_key
 from repro.exceptions import JobCancelled, ReproError, ServiceError
 from repro.region.delta import RegionDelta, delta_from_dict
 from repro.region.fibermap import RegionSpec
-from repro.serialize import plan_from_dict, plan_to_dict, region_from_dict
+from repro.serialize import plan_to_dict, region_from_dict
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     check_protocol_version,
@@ -61,8 +63,7 @@ from repro.service.protocol import (
     read_message,
 )
 from repro.service.replan import DeltaStats, apply_delta
-from repro.store import PlanStore
-from repro.store.keys import service_request_key
+from repro.store import PlanStore, cached, load
 
 #: Counter names the service maintains (all mirrored as ``service.<name>``
 #: into the active obs tracer, if any).
@@ -76,6 +77,7 @@ COUNTER_NAMES = (
     "store_hits",
     "patched",
     "cold",
+    "connection_errors",
 )
 
 
@@ -90,7 +92,8 @@ class ServiceConfig:
     own concurrency comes from ``workers`` threads). ``job_timeout_s``
     arms a per-job :class:`~repro.core.engine.CancelToken` deadline.
     ``keep_results`` bounds both the finished-job table and the
-    in-memory plan cache that seeds delta jobs.
+    in-memory plan cache that seeds delta jobs. Plans use the default
+    :class:`~repro.api.PlannerConfig` content options.
     """
 
     host: str = "127.0.0.1"
@@ -101,8 +104,6 @@ class ServiceConfig:
     backend: str | None = None
     job_timeout_s: float | None = None
     keep_results: int = 64
-    prune_enumeration: bool = True
-    validate: bool = True
 
 
 class _Job:
@@ -176,6 +177,11 @@ class PlannerService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.store = store
+        #: The planner options of every job; the service does its own
+        #: store cache-aside, so the planner gets no store.
+        self._planner_config = PlannerConfig(
+            jobs=self.config.jobs, backend=self.config.backend
+        )
         self._lock = threading.Lock()
         self._queue: queue.Queue[_Job | None] = queue.Queue(
             maxsize=max(1, self.config.queue_size)
@@ -384,14 +390,7 @@ class PlannerService:
                 raise ServiceError("submit 'delta' must be an object")
             delta = delta_from_dict(delta_data)
             target = delta.apply_to_region(base_region)
-        key = service_request_key(
-            design="iris",
-            region=target,
-            config={
-                "prune_enumeration": self.config.prune_enumeration,
-                "validate": self.config.validate,
-            },
-        )
+        key = store_key(target, self._planner_config)
         with self._lock:
             if self._draining:
                 return {"ok": False, "error": "service is draining", "rejected": True}
@@ -525,10 +524,6 @@ class PlannerService:
                 self._plans[job.key] = plan
                 while len(self._plans) > max(1, self.config.keep_results):
                     self._plans.popitem(last=False)
-            if self.store is not None and outcome != "store":
-                self.store.put(
-                    job.key, plan_to_dict(plan, full=True), kind="plan"
-                )
             job.state = "done"
             if outcome in ("patched", "cold"):
                 self._incr(outcome)  # "store" was counted in _resolve
@@ -557,41 +552,33 @@ class PlannerService:
         self, job: _Job
     ) -> tuple[IrisPlan, str, DeltaStats | None]:
         """Cheapest correct source for the job's plan: store, patch, cold."""
-        config = self.config
-        if self.store is not None:
-            cached = self.store.get(job.key)
-            if cached is not None:
-                try:
-                    plan = plan_from_dict(cached)
-                except ReproError:
-                    plan = None  # stale payload: fall through and heal
-                if plan is not None:
-                    self._incr("store_hits")
-                    return plan, "store", None
-        if job.delta is not None:
-            base_plan = self._base_plan(job)
-            if base_plan is not None:
-                stats = DeltaStats()
-                plan = apply_delta(
-                    base_plan,
-                    job.delta,
-                    jobs=config.jobs,
-                    backend=config.backend,
-                    prune_enumeration=config.prune_enumeration,
-                    validate=config.validate,
-                    cancel_token=job.token,
-                    stats=stats,
-                )
-                return plan, "patched", stats
-        plan = IrisPlanner(
-            job.region,
-            prune_enumeration=config.prune_enumeration,
-            validate=config.validate,
-            jobs=config.jobs,
-            backend=config.backend,
-            cancel_token=job.token,
-        ).plan()
-        return plan, "cold", None
+        computed: list[tuple[str, DeltaStats | None]] = []
+
+        def compute() -> IrisPlan:
+            if job.delta is not None:
+                base_plan = self._base_plan(job)
+                if base_plan is not None:
+                    stats = DeltaStats()
+                    computed.append(("patched", stats))
+                    return apply_delta(
+                        base_plan,
+                        job.delta,
+                        config=self._planner_config,
+                        cancel_token=job.token,
+                        stats=stats,
+                    )
+            computed.append(("cold", None))
+            return plan_iris(job.region, self._planner_config, cancel_token=job.token)
+
+        if self.store is None:
+            plan = compute()
+        else:
+            plan = cached(self.store, job.key, compute)
+        if not computed:
+            self._incr("store_hits")
+            return plan, "store", None
+        outcome, stats = computed[0]
+        return plan, outcome, stats
 
     def _base_plan(self, job: _Job) -> IrisPlan | None:
         """The base region's plan for a delta job, if already available.
@@ -602,26 +589,12 @@ class PlannerService:
         """
         if job.base_region is None:
             return None
-        base_key = service_request_key(
-            design="iris",
-            region=job.base_region,
-            config={
-                "prune_enumeration": self.config.prune_enumeration,
-                "validate": self.config.validate,
-            },
-        )
+        base_key = store_key(job.base_region, self._planner_config)
         with self._lock:
             plan = self._plans.get(base_key)
-        if plan is not None:
-            return plan
-        if self.store is not None:
-            cached = self.store.get(base_key)
-            if cached is not None:
-                try:
-                    return plan_from_dict(cached)
-                except ReproError:
-                    return None
-        return None
+        if plan is None and self.store is not None:
+            plan = load(self.store, base_key)
+        return plan
 
     # ------------------------------------------------------------------
     # sockets
@@ -643,9 +616,15 @@ class PlannerService:
             listener = self._listener
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            stream = conn.makefile("rb")
-            try:
+        """Answer one client's requests until it hangs up.
+
+        A socket error on this connection (``makefile`` failing, a reset
+        mid-line, a failed reply) ends it: the socket is closed and the
+        error counted as ``connection_errors``; the thread never dies
+        with it.
+        """
+        try:
+            with conn, conn.makefile("rb") as stream:
                 while True:
                     try:
                         request = read_message(stream)
@@ -656,10 +635,6 @@ class PlannerService:
                         return
                     if request is None:
                         return
-                    response = self.handle(request)
-                    try:
-                        conn.sendall(encode_message(response))
-                    except OSError:
-                        return
-            finally:
-                stream.close()
+                    conn.sendall(encode_message(self.handle(request)))
+        except OSError:
+            self._incr("connection_errors")

@@ -68,16 +68,17 @@ repair the few genuinely new flows incrementally (the PR 6 machinery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import networkx as nx
 
 from repro import obs
+from repro.api import PlannerConfig
 from repro.core.engine import CancelToken
 from repro.core.failures import Scenario
 from repro.core.hose import invalidate_hose_dcs
 from repro.core.plan import IrisPlan, Pair, TopologyPlan
-from repro.core.planner import IrisPlanner
+from repro.core.planner import plan_iris, realize
 from repro.core.topology import plan_topology, prune_overlong_ducts
 from repro.exceptions import PlanningError
 from repro.region.delta import RegionDelta
@@ -264,7 +265,7 @@ def _realization_reusable(
 ) -> bool:
     """Whether the old plan's optical realization equals the cold one.
 
-    ``plan_from_topology``'s phases (amplifier placement, the cut-through
+    :func:`~repro.core.planner.realize`'s phases (amplifier placement, the cut-through
     greedy, residual fibers, validation) read their inputs exclusively
     through: every scenario's paths, the per-duct base capacities, duct
     lengths *along those paths*, ``dc_fibers``, and the operational
@@ -290,10 +291,7 @@ def apply_delta(
     plan: IrisPlan,
     delta: RegionDelta,
     *,
-    jobs: int | None = 1,
-    backend: str | None = None,
-    prune_enumeration: bool = True,
-    validate: bool = True,
+    config: PlannerConfig | None = None,
     cancel_token: CancelToken | None = None,
     verify: bool = False,
     stats: DeltaStats | None = None,
@@ -305,9 +303,10 @@ def apply_delta(
     to a cold replan of that mutated region. ``price_changed`` deltas
     return ``plan`` itself — prices are not plan inputs.
 
-    ``prune_enumeration``/``validate``/``jobs``/``backend`` mirror
-    :class:`~repro.core.planner.IrisPlanner`; parity holds whatever the
-    backend, since reuse happens above the chunk fan-out.
+    ``config`` supplies the planner options as for
+    :func:`repro.api.plan` (its ``store`` is not consulted); parity holds
+    whatever the backend, since reuse happens above the chunk fan-out.
+    ``cancel_token`` lets the planner service cancel or time out the job.
 
     ``verify=True`` additionally runs the cold replan and raises
     :class:`~repro.exceptions.PlanningError` on any byte difference —
@@ -317,6 +316,7 @@ def apply_delta(
     """
     from repro.serialize import plan_to_json
 
+    config = config or PlannerConfig()
     out_stats = stats if stats is not None else DeltaStats()
     if delta.kind == "price_changed":
         out_stats.mode = "price"
@@ -332,9 +332,9 @@ def apply_delta(
     with obs.span("service.apply_delta") as span:
         topology = plan_topology(
             new_region,
-            prune_enumeration=prune_enumeration,
-            jobs=jobs,
-            backend=backend,
+            prune_enumeration=config.prune_enumeration,
+            jobs=config.jobs,
+            backend=config.backend,
             paths_oracle=oracle,
             cancel_token=cancel_token,
         )
@@ -359,14 +359,7 @@ def apply_delta(
             out_stats.realization = "reused"
             span.incr("delta.realization_reused", 1)
         else:
-            patched = IrisPlanner(
-                new_region,
-                prune_enumeration=prune_enumeration,
-                validate=validate,
-                jobs=jobs,
-                backend=backend,
-                cancel_token=cancel_token,
-            ).plan_from_topology(topology)
+            patched = realize(new_region, topology, config)
         if oracle is not None:
             out_stats.reused = oracle.stats.reused
             out_stats.checked = oracle.stats.checked
@@ -380,13 +373,7 @@ def apply_delta(
         span.incr("delta.bypass_checks", out_stats.checked)
 
     if verify:
-        cold = IrisPlanner(
-            new_region,
-            prune_enumeration=prune_enumeration,
-            validate=validate,
-            jobs=jobs,
-            backend=backend,
-        ).plan()
+        cold = plan_iris(new_region, replace(config, store=None))
         patched_json = plan_to_json(patched, full=True)
         cold_json = plan_to_json(cold, full=True)
         if patched_json != cold_json:

@@ -14,23 +14,27 @@ goal needs:
 * :mod:`repro.store.cas` — the on-disk store: atomic tmp+rename blob
   writes, an advisory index manifest, digest re-verification on every
   read (corruption degrades to a miss, never a crash), and the
-  ``get``/``put``/``gc``/``stats``/``verify`` API.
+  ``get``/``put``/``gc``/``stats``/``verify`` API;
+* :mod:`repro.store.cache` — the one cache-aside (:func:`cached`): load
+  and decode on a hit, treat an undecodable payload as a miss, compute
+  and put on a miss.
 
 Typical use::
 
+    from repro.api import PlannerConfig, plan
     from repro.store import PlanStore
-    from repro.core.planner import plan_region
 
-    store = PlanStore(".iris-store")
-    plan = plan_region(region, store=store)   # miss: plans + checkpoints
-    plan = plan_region(region, store=store)   # hit: loads, bit-identical
+    config = PlannerConfig(store=PlanStore(".iris-store"))
+    result = plan(region, config=config)   # miss: plans + checkpoints
+    result = plan(region, config=config)   # hit: loads, bit-identical
 
-The same ``store=`` threads through the design registry
-(``get_design("iris", store=store)``) and ``run_sweep`` — completed sweep
-cells checkpoint as they finish, so ``iris sweep --store DIR --resume``
-replans only the incomplete cells.
+The same config threads through the design registry
+(``get_design("iris", config=config)``) and :func:`repro.api.sweep` —
+completed sweep cells checkpoint as they finish, so
+``iris sweep --store DIR --resume`` replans only the incomplete cells.
 """
 
+from repro.store.cache import cached, load
 from repro.store.canonical import canonical_json, digest, sha256_hex
 from repro.store.cas import GcResult, PlanStore, StoreStats
 from repro.store.keys import STORE_SCHEMA_VERSION, artifact_key, plan_key
@@ -41,8 +45,10 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "StoreStats",
     "artifact_key",
+    "cached",
     "canonical_json",
     "digest",
+    "load",
     "plan_key",
     "sha256_hex",
 ]

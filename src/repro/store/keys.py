@@ -83,21 +83,3 @@ def plan_key(
         },
     )
 
-
-def service_request_key(
-    *,
-    design: str,
-    region: RegionSpec,
-    config: dict[str, Any] | None = None,
-) -> str:
-    """The single-flight key the planner service coalesces requests under.
-
-    Deliberately *the same function* as :func:`plan_key` (a documented
-    alias, not a parallel formula): the daemon keys its in-flight table,
-    its store writes, and its store reads with one value, so "two clients
-    asked for the same plan" and "this plan is already in the store" are
-    by construction the same question. Anything that would make the key
-    diverge from what ``iris plan --store`` writes would silently split
-    the cache between CLI and service.
-    """
-    return plan_key(design=design, region=region, config=config)

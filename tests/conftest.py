@@ -63,6 +63,6 @@ def small_region_instance():
 @pytest.fixture(scope="session")
 def small_plan(small_region_instance):
     """A full Iris plan for the small region (expensive; session-cached)."""
-    from repro.core.planner import plan_region
+    from repro import api
 
-    return plan_region(small_region_instance.spec)
+    return api.plan(small_region_instance.spec)

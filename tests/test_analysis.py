@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.designspace import SweepPoint, default_mini_sweep, run_sweep
+from repro.analysis.designspace import SweepPoint, default_mini_sweep
+from repro.api import sweep
 from repro.analysis.latency import cdf, fraction_at_least, latency_inflation_ratios
 from repro.analysis.flexibility import flexibility_gains
 from repro.analysis.portcost import port_cost_table
@@ -96,7 +97,7 @@ class TestSweep:
         assert len({(p.map_index, p.n_dcs, p.dc_fibers) for p in points}) == 16
 
     def test_single_point_headlines(self):
-        records = run_sweep([SweepPoint(0, 5, 8, 40)])
+        records = sweep([SweepPoint(0, 5, 8, 40)])
         (r,) = records
         # Fig 12(a): EPS much more expensive; hybrid ~ Iris.
         assert r.eps_over_iris > 3.0

@@ -1,12 +1,10 @@
-"""The repro.api facade: PlannerConfig, plan/sweep/simulate, deprecations."""
+"""The repro.api facade: PlannerConfig, plan/sweep/simulate."""
 
-import warnings
+import dataclasses
 
 import pytest
 
-from repro import api
 from repro.api import PlannerConfig, plan, simulate, sweep
-from repro.core.hose import hose_cache_stats
 from repro.core.plan import IrisPlan
 from repro.cost.estimator import Inventory
 from repro.region.catalog import make_region
@@ -27,15 +25,25 @@ class TestPlannerConfig:
             config.jobs = 2
 
     def test_defaults_match_planner_defaults(self):
+        """A bare ``PlannerConfig()`` is serial, storeless, pruned and
+        validated, and it is what every planning function falls back to
+        when given no config."""
+        import inspect
+
+        from repro.designs.robust import plan_robust
+        from repro.obs import profile_plan
+        from repro.service.replan import apply_delta
+
         config = PlannerConfig()
-        assert config.jobs == 1
-        assert config.backend is None
-        assert config.store is None
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "jobs", "backend", "store", "prune_enumeration", "validate", "traffic",
+        ]
+        assert (config.jobs, config.backend, config.store) == (1, None, None)
         assert config.prune_enumeration is True
         assert config.validate is True
-        assert config.trace is False
-        assert config.hose_cache_maxsize is None
-        assert config.hose_state_maxsize is None
+        assert config.traffic is None
+        for function in (plan, apply_delta, plan_robust, profile_plan):
+            assert inspect.signature(function).parameters["config"].default is None
 
 
 class TestPlan:
@@ -45,13 +53,19 @@ class TestPlan:
         assert result.validate() == []
 
     def test_matches_legacy_entry_point_bytes(self, small_region):
-        from repro.core.planner import plan_region
+        """Every route to an iris plan runs the one core function."""
+        from repro.core.planner import plan_iris
+        from repro.designs import get_design
+        from repro.obs import profile_plan
 
         via_api = plan(small_region, config=PlannerConfig(jobs=1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_region(small_region, jobs=1)
-        assert plan_to_json(via_api) == plan_to_json(legacy)
+        core = plan_iris(small_region, PlannerConfig())
+        assert plan_to_json(via_api, full=True) == plan_to_json(core, full=True)
+        profiled = profile_plan(small_region, config=PlannerConfig())
+        assert plan_to_json(profiled.plan) == plan_to_json(core)
+        assert profiled.trace.name == "profile.plan"
+        assert profiled.trace.total("hose.lookups") > 0
+        assert get_design("iris").plan(small_region) == core.inventory()
 
     def test_other_designs_return_inventory(self, small_region):
         inventory = plan(small_region, design="eps")
@@ -65,36 +79,16 @@ class TestPlan:
         with pytest.raises(ReproError):
             plan(small_region, design="quantum")
 
-    def test_trace_captures_span_tree(self, small_region):
-        result = plan(small_region, config=PlannerConfig(trace=True))
-        assert result.validate() == []
-        record = api.last_trace()
-        assert record is not None
-        assert record.name == "repro.api.plan"
-        assert record.total("hose.lookups") > 0
-
-    def test_hose_cache_bounds_applied(self, small_region):
-        from repro.core.hose import clear_hose_cache
-
-        plan(
-            small_region,
-            config=PlannerConfig(hose_cache_maxsize=50_000, hose_state_maxsize=9),
-        )
-        stats = hose_cache_stats()
-        assert (stats.maxsize, stats.state_maxsize) == (50_000, 9)
-        clear_hose_cache()  # restore the env/default bounds
-
 
 class TestSweep:
-    def test_matches_legacy_run_sweep(self):
-        from repro.analysis.designspace import SweepPoint, run_sweep
+    def test_matches_sweep_grid(self):
+        """The facade is the sweep body with the default config filled in."""
+        from repro.analysis.designspace import SweepPoint, sweep_grid
 
         points = [SweepPoint(map_index=0, n_dcs=5, dc_fibers=8, wavelengths=40)]
         via_api = sweep(points, config=PlannerConfig(jobs=1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_sweep(points, jobs=1)
-        assert via_api == legacy
+        core = sweep_grid(points, prices=None, failure_tolerance=2, config=PlannerConfig())
+        assert via_api == core
         assert via_api[0].eps_over_iris > 1.0
 
 
@@ -106,34 +100,13 @@ class TestSimulate:
         assert result.summary.iris_flows > 0
 
 
-class TestDeprecationShims:
-    def test_plan_region_loose_kwargs_warn(self, small_region):
-        from repro.core.planner import plan_region
-
-        with pytest.warns(DeprecationWarning, match="repro.api.plan"):
-            plan_region(small_region, jobs=1)
-
-    def test_plan_region_bare_call_is_silent(self, small_region):
-        from repro.core.planner import plan_region
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            plan_region(small_region)
-
-    def test_run_sweep_loose_kwargs_warn(self):
-        from repro.analysis.designspace import SweepPoint, run_sweep
-
-        points = [SweepPoint(map_index=0, n_dcs=5, dc_fibers=8, wavelengths=40)]
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            run_sweep(points, jobs=1)
-
-
 class TestTopLevelExports:
     def test_all_names_resolve(self):
         import repro
 
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
 
     def test_facade_exported_at_top_level(self):
         import repro

@@ -7,12 +7,12 @@ from repro.analysis.complexity import (
     iris_complexity,
     port_reduction_factor,
 )
-from repro.core.planner import plan_region
+from repro import api
 
 
 class TestComplexity:
     def test_toy_sites(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         iris = iris_complexity(plan)
         eps = eps_complexity(plan)
         # Both designs equip the 4 DCs and the 2 hubs.

@@ -14,7 +14,7 @@ from repro.control.devices import (
 )
 from repro.control.reconfigure import apply_reconfiguration, diff_connections
 from repro.control.wavelengths import pack_transceivers
-from repro.core.planner import plan_region
+from repro import api
 from repro.exceptions import ControlPlaneError, DeviceError
 
 
@@ -197,7 +197,7 @@ class TestReconfigure:
 class TestController:
     @pytest.fixture
     def plan(self, toy_region):
-        return plan_region(toy_region)
+        return api.plan(toy_region)
 
     def test_compute_target_rounds_to_fibers(self, plan):
         per_fiber = 40 * 400.0  # 16 Tbps
@@ -265,9 +265,7 @@ class TestController:
 class TestWavelengthRetuning:
     @pytest.fixture
     def controller(self, toy_region):
-        from repro.core.planner import plan_region as _plan
-
-        return IrisController(_plan(toy_region))
+        return IrisController(api.plan(toy_region))
 
     def test_packing_follows_demand(self, controller):
         # 1.5 fibers' worth toward DC3: 60 of 80 channels live on 2 fibers.
@@ -287,7 +285,6 @@ class TestWavelengthRetuning:
 
     def test_amp_loopback_connections(self, toy_region):
         """Paths with an in-line amplifier route through amp ports."""
-        from repro.core.planner import plan_region as _plan
         from tests.conftest import build_toy_map
         from repro.region.fibermap import OperationalConstraints, RegionSpec
 
@@ -299,7 +296,7 @@ class TestWavelengthRetuning:
             dc_fibers={f"DC{i}": 10 for i in range(1, 5)},
             constraints=OperationalConstraints(failure_tolerance=0),
         )
-        plan = _plan(region)
+        plan = api.plan(region)
         amped = [
             (s, p) for (s, p), path in plan.effective_paths.items()
             if path.amp_node is not None
@@ -321,7 +318,7 @@ class TestTransceiverPoolTrim:
     def test_ceil_overshoot_trimmed(self, toy_region):
         """Three pairs each ceil-ing to 134 wavelengths would need 402 of
         DC1's 400 transceivers; the retune trims to the pool."""
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         controller = IrisController(plan)
         gbps = 133.3 * 400.0  # 133.3 wavelengths -> ceil 134; 3x still
         # within DC1's 160 Tbps hose, but 402 > 400 transceivers pre-trim.
@@ -358,7 +355,7 @@ class TestControllerProperties:
         import itertools
         import random
 
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         controller = IrisController(plan)
         rng = random.Random(demands_seed)
         pairs = rng.sample(

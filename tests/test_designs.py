@@ -115,10 +115,10 @@ class TestEps:
 
     def test_toy_cost_ratio_matches_paper(self, toy_region):
         """§3.4: 'the electrical design costs 2.7x more than the optical'."""
-        from repro.core.planner import plan_region
+        from repro import api
         from repro.core.topology import plan_topology
 
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         iris = estimate_cost(plan.inventory())
         eps = estimate_cost(eps_inventory(toy_region, plan.topology))
         ratio = eps.total / iris.total
@@ -128,9 +128,9 @@ class TestEps:
         """The §3.4 footnote recomputes the ratio from fiber+transceivers
         only and lands at 2.73; our residual differs by 2 fiber-pairs on
         the trunk (76 vs 78), giving 2.74."""
-        from repro.core.planner import plan_region
+        from repro import api
 
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         prices = PriceBook.default()
         t_e, f_e = 4800, 60
         t_o = plan.inventory().dc_transceivers
@@ -267,11 +267,11 @@ class TestDesignRegistry:
         direct = eps_inventory(toy_region, plan_topology(toy_region))
         assert via_registry == direct
 
-    def test_iris_matches_plan_region(self, toy_region):
-        from repro.core.planner import plan_region
+    def test_iris_matches_api_plan(self, toy_region):
+        from repro import api
 
         via_registry = get_design("iris").plan(toy_region)
-        assert via_registry == plan_region(toy_region).inventory()
+        assert via_registry == api.plan(toy_region).inventory()
 
     def test_hybrid_matches_hybridize(self, small_plan, small_region_instance):
         via_registry = get_design("hybrid", max_combine=4).plan(

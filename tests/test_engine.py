@@ -17,7 +17,8 @@ from repro.core.engine import (
     resolve_jobs,
 )
 from repro.core.hose import clear_hose_cache, hose_cache_stats, hose_capacity
-from repro.core.planner import plan_region
+from repro import api
+from repro.api import PlannerConfig
 from repro.core.topology import plan_topology
 from repro.exceptions import InfeasibleRegionError, ReproError
 from repro.region.catalog import make_region
@@ -152,7 +153,7 @@ class TestSerialNeverSpawnsPool:
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", forbidden)
         instance = make_region(map_index=0, n_dcs=4, dc_fibers=4)
-        plan = plan_region(instance.spec, jobs=1)
+        plan = api.plan(instance.spec, config=PlannerConfig(jobs=1))
         assert plan.validate() == []
         assert plan.topology.timings.backend == "serial"
 
@@ -182,8 +183,8 @@ class TestSerialParallelParity:
 
     def test_full_plan_identical(self):
         instance = make_region(map_index=0, n_dcs=5, dc_fibers=8)
-        serial = plan_region(instance.spec, jobs=1)
-        parallel = plan_region(instance.spec, jobs=2)
+        serial = api.plan(instance.spec, config=PlannerConfig(jobs=1))
+        parallel = api.plan(instance.spec, config=PlannerConfig(jobs=2))
         assert serial.topology == parallel.topology
         assert dict(serial.residual) == dict(parallel.residual)
         assert serial.cut_throughs == parallel.cut_throughs
@@ -198,12 +199,13 @@ class TestSerialParallelParity:
     def test_plan_to_json_identical_under_work_stealing(self):
         """ISSUE 6 acceptance: jobs=1 vs jobs=4 byte-identical plans
         under the work-stealing backend."""
-        from repro.core.planner import _plan_region
         from repro.serialize import plan_to_json
 
         instance = make_region(map_index=0, n_dcs=5, dc_fibers=8)
-        serial = _plan_region(instance.spec, jobs=1)
-        parallel = _plan_region(instance.spec, jobs=4, backend="steal")
+        serial = api.plan(instance.spec, config=PlannerConfig(jobs=1))
+        parallel = api.plan(
+            instance.spec, config=PlannerConfig(jobs=4, backend="steal")
+        )
         assert plan_to_json(serial) == plan_to_json(parallel)
 
     def test_static_process_backend_still_selectable(self, toy_region):
@@ -306,11 +308,13 @@ class TestCancelToken:
     def test_uncancelled_token_changes_nothing(self, toy_region):
         from repro.core.engine import CancelToken
         from repro.serialize import plan_to_json
-        from repro.core.planner import _plan_region
+        from repro.core.planner import plan_iris
 
-        baseline = plan_to_json(_plan_region(toy_region), full=True)
+        baseline = plan_to_json(api.plan(toy_region), full=True)
         tokened = plan_to_json(
-            _plan_region(toy_region, cancel_token=CancelToken(timeout_s=600)),
+            plan_iris(
+                toy_region, PlannerConfig(), cancel_token=CancelToken(timeout_s=600)
+            ),
             full=True,
         )
         assert tokened == baseline

@@ -4,7 +4,7 @@ import pytest
 
 from repro.control.controller import IrisController
 from repro.core.failures import Scenario
-from repro.core.planner import plan_region
+from repro import api
 from repro.exceptions import ControlPlaneError, PlanningError
 from repro.region.fibermap import (
     FiberMap,
@@ -34,7 +34,7 @@ def ring_region():
 
 @pytest.fixture(scope="module")
 def ring_plan(ring_region):
-    return plan_region(ring_region)
+    return api.plan(ring_region)
 
 
 class TestScenarioResolution:
@@ -98,7 +98,7 @@ class TestControllerFailover:
     def test_failover_with_two_cut_tolerance(self, toy_region):
         # The toy tree tolerates nothing: even tolerance-0 plans expose
         # scenario_for_failures for unused ducts only.
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         assert plan.scenario_for_failures(set()) == Scenario()
         with pytest.raises(PlanningError):
             plan.scenario_for_failures({("H1", "H2")})

@@ -189,7 +189,7 @@ class TestIncrementalParity:
             assert stats.cold_solves == stats.misses == 5
             assert stats.states == 0
         finally:
-            clear_hose_cache()  # restore the env/default bounds
+            clear_hose_cache()  # restore the default bounds
 
 
 class TestCacheConfiguration:
@@ -200,21 +200,17 @@ class TestCacheConfiguration:
         assert stats.maxsize > 0 and stats.state_maxsize > 0
         assert stats.incremental_rate == 0.0
 
-    def test_configure_overrides_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOSE_CACHE_MAXSIZE", "17")
-        monkeypatch.setenv("REPRO_HOSE_STATE_MAXSIZE", "3")
-        clear_hose_cache()  # fresh cache reads the env fallbacks
-        stats = hose_cache_stats()
-        assert (stats.maxsize, stats.state_maxsize) == (17, 3)
-        # Explicit configuration wins over the environment.
+    def test_configure_holds_until_clear(self):
+        clear_hose_cache()
+        defaults = hose_cache_stats()
         configure_hose_cache(maxsize=99, state_maxsize=7)
         stats = hose_cache_stats()
         assert (stats.maxsize, stats.state_maxsize) == (99, 7)
-        monkeypatch.delenv("REPRO_HOSE_CACHE_MAXSIZE")
-        monkeypatch.delenv("REPRO_HOSE_STATE_MAXSIZE")
-        clear_hose_cache()
+        clear_hose_cache()  # restores the default bounds
         stats = hose_cache_stats()
-        assert stats.maxsize > 99 and stats.state_maxsize > 7
+        assert (stats.maxsize, stats.state_maxsize) == (
+            defaults.maxsize, defaults.state_maxsize,
+        )
 
     def test_state_store_is_bounded(self):
         configure_hose_cache(state_maxsize=4)

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs, plan_region
+from repro import api, obs
+from repro.api import PlannerConfig
 from repro.core.hose import clear_hose_cache
 from repro.region.catalog import make_region
 from repro.serialize import plan_to_json
@@ -32,7 +33,7 @@ def parity_region():
 def _traced_plan(region, jobs: int):
     clear_hose_cache()
     with obs.tracing("parity") as tracer:
-        plan = plan_region(region, jobs=jobs)
+        plan = api.plan(region, config=PlannerConfig(jobs=jobs))
     return plan, tracer.record()
 
 
@@ -95,12 +96,12 @@ class TestJobsParity:
 class TestNoOpIdentity:
     def test_untraced_plan_bit_identical_to_traced(self, parity_region):
         clear_hose_cache()
-        untraced = plan_region(parity_region)
+        untraced = api.plan(parity_region)
         traced, _rec = _traced_plan(parity_region, jobs=1)
         assert plan_to_json(untraced) == plan_to_json(traced)
 
     def test_untraced_plan_keeps_coarse_trace_only(self, parity_region):
-        plan = plan_region(parity_region)
+        plan = api.plan(parity_region)
         trace = plan.topology.trace
         assert trace is not None
         # Coarse phase spans only — no per-chunk/per-lookup instrumentation.

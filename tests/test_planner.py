@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.failures import Scenario
-from repro.core.planner import IrisPlanner, plan_region
+from repro import api
+from repro.api import PlannerConfig
+from repro.core.planner import realize
 from repro.core.residual import residual_fiber_pairs, residual_pair_count
 from repro.core.topology import plan_topology
 
@@ -15,7 +17,7 @@ class TestToyPlan:
         F_E = 60 base fiber-pairs; residual = one pair per DC pair along its
         shortest path (L1-L4: +3 each, trunk: +4); T_O = 1600 transceivers.
         """
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         assert plan.topology.total_fiber_pairs() == 60
         residual = dict(plan.residual)
         assert residual[("DC1", "H1")] == 3
@@ -32,12 +34,12 @@ class TestToyPlan:
 
     def test_toy_oss_ports(self, toy_region):
         # §3.4 accounting: 4 OSS ports per (fiber-pair, duct).
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         inv = plan.inventory()
         assert inv.oss_ports == 4 * (60 + 16)
 
     def test_validate_clean(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         assert plan.validate() == []
 
 
@@ -101,11 +103,10 @@ class TestResidual:
 
 class TestPlannerOptions:
     def test_validation_can_be_disabled(self, toy_region):
-        plan = IrisPlanner(toy_region, validate=False).plan()
+        plan = api.plan(toy_region, config=PlannerConfig(validate=False))
         assert plan.validate() == []  # still clean, just not enforced
 
     def test_plan_from_topology_reuse(self, toy_region):
-        planner = IrisPlanner(toy_region)
-        topology = planner.plan_topology()
-        plan = planner.plan_from_topology(topology)
+        topology = plan_topology(toy_region)
+        plan = realize(toy_region, topology, PlannerConfig())
         assert plan.topology is topology

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.planner import plan_region
+from repro import api
 from repro.core.topology import plan_topology
 from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.fibermap import (
@@ -64,7 +64,7 @@ class TestPlannerInvariants:
         if region is None:
             return
         try:
-            plan = plan_region(region)
+            plan = api.plan(region)
         except InfeasibleRegionError:
             return  # random map genuinely cannot tolerate the cuts
 

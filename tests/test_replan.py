@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.planner import plan_region
+from repro import api
 from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.catalog import make_region
 from repro.region.delta import DELTA_KINDS, RegionDelta, delta_from_dict
@@ -30,7 +30,7 @@ def base_region():
 
 @pytest.fixture(scope="module")
 def base_plan(base_region):
-    return plan_region(base_region)
+    return api.plan(base_region)
 
 
 def _bypass_delta(plan, factor: float = 1.05) -> RegionDelta:
@@ -86,7 +86,7 @@ class TestDeltaParity:
             apply_delta(base_plan, short, verify=True, stats=stats)
         except InfeasibleRegionError:
             with pytest.raises(InfeasibleRegionError):
-                plan_region(short.apply_to_region(base_plan.region))
+                api.plan(short.apply_to_region(base_plan.region))
             return
         assert stats.mode == "add"
         assert stats.computed > 0
@@ -125,7 +125,7 @@ class TestDeltaParity:
             )
         except InfeasibleRegionError:
             with pytest.raises(InfeasibleRegionError):
-                plan_region(
+                api.plan(
                     RegionDelta.dc_detached(dc).apply_to_region(
                         base_plan.region
                     )
@@ -150,7 +150,7 @@ class TestDeltaParity:
             patched = apply_delta(base_plan, delta, verify=True, stats=stats)
         except InfeasibleRegionError:
             with pytest.raises(InfeasibleRegionError):
-                plan_region(delta.apply_to_region(region))
+                api.plan(delta.apply_to_region(region))
             return
         assert stats.mode == "cold"
         assert "DCX" in patched.region.dc_fibers
@@ -221,7 +221,7 @@ class TestDeltaParityProperty:
             # Parity on the failure path too: cold must agree the mutated
             # region is unplannable.
             with pytest.raises(InfeasibleRegionError):
-                plan_region(delta.apply_to_region(base_plan.region))
+                api.plan(delta.apply_to_region(base_plan.region))
 
 
 class TestDeltaCodec:

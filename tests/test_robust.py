@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.planner import _plan_region
+from repro import api
+from repro.api import PlannerConfig
 from repro.designs import available_designs, get_design
 from repro.designs.robust import (
     RobustDesign,
@@ -26,7 +27,8 @@ class TestEnsembleSpec:
         assert "robust" in available_designs()
         design = get_design("robust")
         assert isinstance(design, RobustDesign)
-        assert design.traffic.count == 5
+        assert design.config.traffic is None  # the default spec
+        assert TrafficEnsembleSpec().count == 5
 
     def test_build_is_deterministic(self):
         spec = TrafficEnsembleSpec(count=5, seed=42)
@@ -106,7 +108,7 @@ class TestRobustPlanning:
     def plans(self, small_region_instance):
         region = small_region_instance.spec
         return (
-            _plan_region(region),
+            api.plan(region),
             plan_robust(region),
             region,
         )
@@ -154,13 +156,13 @@ class TestRobustPlanning:
     def test_jobs_parity(self, plans):
         # Acceptance: jobs=1 and jobs=4 plans are byte-identical.
         _, robust, region = plans
-        parallel = plan_robust(region, jobs=4)
+        parallel = plan_robust(region, config=PlannerConfig(jobs=4))
         assert plan_to_json(parallel) == plan_to_json(robust)
 
     def test_explicit_ensemble_changes_plan_key_not_shape(self, plans):
         _, robust, region = plans
         other = plan_robust(
-            region, traffic=TrafficEnsembleSpec(count=6, seed=1)
+            region, config=PlannerConfig(traffic=TrafficEnsembleSpec(count=6, seed=1))
         )
         assert sorted(other.topology.edge_capacity) == sorted(
             robust.topology.edge_capacity
@@ -192,9 +194,9 @@ class TestStoreCaching:
 
         region = small_region_instance.spec
         store = PlanStore(tmp_path)
-        fresh = plan_robust(region, store=store)
+        fresh = plan_robust(region, config=PlannerConfig(store=store))
         assert (store.hits, store.misses, store.puts) == (0, 1, 1)
-        cached = plan_robust(region, store=store)
+        cached = plan_robust(region, config=PlannerConfig(store=store))
         assert (store.hits, store.misses, store.puts) == (1, 1, 1)
         assert plan_to_json(cached) == plan_to_json(fresh)
 
@@ -203,9 +205,10 @@ class TestStoreCaching:
 
         region = small_region_instance.spec
         store = PlanStore(tmp_path)
-        plan_robust(region, store=store)
+        plan_robust(region, config=PlannerConfig(store=store))
         plan_robust(
-            region, traffic=TrafficEnsembleSpec(seed=999), store=store
+            region,
+            config=PlannerConfig(traffic=TrafficEnsembleSpec(seed=999), store=store),
         )
         assert store.misses == 2
         assert store.puts == 2
@@ -213,11 +216,10 @@ class TestStoreCaching:
 
 class TestApiIntegration:
     def test_api_plan_returns_full_plan(self, small_region_instance):
-        from repro.api import PlannerConfig, plan
         from repro.core.plan import IrisPlan
 
         region = small_region_instance.spec
-        result = plan(
+        result = api.plan(
             region,
             design="robust",
             config=PlannerConfig(traffic=TrafficEnsembleSpec(count=3)),
@@ -228,6 +230,6 @@ class TestApiIntegration:
     def test_registry_plan_returns_inventory(self, small_region_instance):
         region = small_region_instance.spec
         inventory = get_design(
-            "robust", traffic=TrafficEnsembleSpec(count=3)
+            "robust", config=PlannerConfig(traffic=TrafficEnsembleSpec(count=3))
         ).plan(region)
         assert inventory.fiber_pair_spans > 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.planner import plan_region
+from repro import api
 from repro.exceptions import ReproError
 from repro.serialize import (
     fiber_map_from_dict,
@@ -61,7 +61,7 @@ class TestRegionRoundTrip:
 
 class TestPlanSummary:
     def test_plan_summary_contents(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         data = plan_to_dict(plan)
         assert data["base_capacity"]["H1~H2"] == 20
         assert data["residual"]["H1~H2"] == 4
@@ -76,7 +76,7 @@ class TestPlanSummaryWithAmplifiers:
         from tests.test_amplifiers import line_region
 
         region = line_region(55.0, 55.0)
-        plan = plan_region(region)
+        plan = api.plan(region)
         data = plan_to_dict(plan)
         assert data["amplifier_sites"] == {"M0": 4}
         assert data["scenarios_enumerated"] >= 1
@@ -90,18 +90,18 @@ class TestInstrumentedPlanSerialization:
     def test_default_json_is_deterministic_across_runs(self, toy_region):
         # Second plan hits a warm hose cache and a different-looking trace;
         # neither may leak into the default audit output.
-        first = plan_to_json(plan_region(toy_region))
-        second = plan_to_json(plan_region(toy_region))
+        first = plan_to_json(api.plan(toy_region))
+        second = plan_to_json(api.plan(toy_region))
         assert first == second
 
     def test_default_timings_block_is_environment_invariant(self, toy_region):
-        data = plan_to_dict(plan_region(toy_region))
+        data = plan_to_dict(api.plan(toy_region))
         assert set(data["timings"]) == {"scenarios_evaluated", "hose_lookups"}
         assert data["timings"]["scenarios_evaluated"] == data["scenarios_enumerated"]
         assert "trace" not in data
 
     def test_runtime_fields_opt_in(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         data = plan_to_dict(plan, include_runtime=True)
         timings = data["timings"]
         assert timings["backend"] == "serial" and timings["jobs"] == 1
@@ -114,11 +114,11 @@ class TestInstrumentedPlanSerialization:
     def test_trace_opt_in_and_round_trips(self, toy_region):
         from repro.obs import record_from_dict, record_to_dict
 
-        plan_region(toy_region)  # warm the hose cache: stable hit counters
-        data = plan_to_dict(plan_region(toy_region), include_trace=True)
+        api.plan(toy_region)  # warm the hose cache: stable hit counters
+        data = plan_to_dict(api.plan(toy_region), include_trace=True)
         assert data["trace"]["name"] == "plan.topology"
         # Without runtime fields the trace is deterministic content...
-        again = plan_to_dict(plan_region(toy_region), include_trace=True)
+        again = plan_to_dict(api.plan(toy_region), include_trace=True)
         assert data["trace"] == again["trace"]
         # ...and reconstructs to an equivalent span tree.
         restored = record_from_dict(data["trace"])
@@ -131,10 +131,10 @@ class TestInstrumentedPlanSerialization:
         from repro.core.hose import clear_hose_cache
 
         clear_hose_cache()
-        plain = plan_to_json(plan_region(toy_region))
+        plain = plan_to_json(api.plan(toy_region))
         clear_hose_cache()
         with obs.tracing("audit"):
-            traced_plan = plan_region(toy_region)
+            traced_plan = api.plan(toy_region)
         assert plan_to_json(traced_plan) == plain
 
 
@@ -142,7 +142,7 @@ class TestFullPlanRoundTrip:
     """The lossless ``full=True`` encoding and its reconstruction."""
 
     def test_encode_decode_is_a_fixpoint(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         encoded = plan_to_dict(plan, full=True)
         restored = plan_from_dict(encoded)
         # Fixpoint: re-encoding the reconstruction changes nothing.
@@ -152,7 +152,7 @@ class TestFullPlanRoundTrip:
                             full=True) == encoded
 
     def test_fixpoint_on_failure_tolerant_region(self, small_region_instance):
-        plan = plan_region(small_region_instance.spec)
+        plan = api.plan(small_region_instance.spec)
         encoded = plan_to_dict(plan, full=True)
         restored = plan_from_dict(encoded)
         assert plan_to_dict(restored, full=True) == encoded
@@ -160,7 +160,7 @@ class TestFullPlanRoundTrip:
         assert restored.inventory() == plan.inventory()
 
     def test_json_form_round_trips(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         text = plan_to_json(plan, full=True)
         restored = plan_from_json(text)
         assert plan_to_json(restored, full=True) == text
@@ -168,7 +168,7 @@ class TestFullPlanRoundTrip:
         assert plan_to_json(restored) == plan_to_json(plan)
 
     def test_full_is_a_superset_of_the_summary(self, toy_region):
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         summary = plan_to_dict(plan)
         encoded = plan_to_dict(plan, full=True)
         assert summary == {
@@ -179,23 +179,23 @@ class TestFullPlanRoundTrip:
 
     def test_summary_dict_rejected(self, toy_region):
         with pytest.raises(ReproError, match="full=True"):
-            plan_from_dict(plan_to_dict(plan_region(toy_region)))
+            plan_from_dict(plan_to_dict(api.plan(toy_region)))
 
     def test_wrong_version_rejected(self, toy_region):
-        encoded = plan_to_dict(plan_region(toy_region), full=True)
+        encoded = plan_to_dict(api.plan(toy_region), full=True)
         encoded["format_version"] = 999
         with pytest.raises(ReproError, match="version"):
             plan_from_dict(encoded)
 
     def test_malformed_payload_rejected(self, toy_region):
-        encoded = plan_to_dict(plan_region(toy_region), full=True)
+        encoded = plan_to_dict(api.plan(toy_region), full=True)
         encoded["effective_paths"] = [{"bogus": 1}]
         with pytest.raises(ReproError, match="malformed"):
             plan_from_dict(encoded)
 
     def test_loaded_timings_are_environment_invariant(self, toy_region):
         restored = plan_from_dict(
-            plan_to_dict(plan_region(toy_region), full=True)
+            plan_to_dict(api.plan(toy_region), full=True)
         )
         timings = restored.topology.timings
         assert timings is not None and timings.backend == "store"

@@ -12,7 +12,9 @@ constructor, the listener leak on a failed ``start()``, and the
 from __future__ import annotations
 
 import socket as socket_mod
+import struct
 import threading
+import time
 
 import pytest
 
@@ -185,6 +187,49 @@ class TestClientLifecycleRegressions:
                 ServiceClient(service.address)
         assert len(opened) == 1
         assert opened[0].fileno() == -1  # closed, not leaked
+
+
+def _wait_for_connection_errors(service, count: int) -> None:
+    deadline = time.monotonic() + 10.0
+    while service.counters()["connection_errors"] < count:
+        assert time.monotonic() < deadline, "connection error never counted"
+        time.sleep(0.01)
+
+
+class TestConnectionErrorsAbsorbed:
+    """A socket error on one connection closes that connection and is
+    counted; it never escapes the connection's thread."""
+
+    def test_makefile_failure_closes_and_counts(self, monkeypatch):
+        with PlannerService(ServiceConfig()).start() as service:
+            monkeypatch.setattr(
+                socket_mod.socket,
+                "makefile",
+                lambda self, *a, **k: (_ for _ in ()).throw(OSError("nope")),
+            )
+            with socket_mod.create_connection(service.address, timeout=10) as raw:
+                _wait_for_connection_errors(service, 1)
+                assert raw.recv(1) == b""  # the server closed its end
+            monkeypatch.undo()
+            with ServiceClient(service.address) as client:
+                assert client.ping()["ok"]
+            assert service.counters()["connection_errors"] == 1
+
+    def test_reset_mid_line_closes_and_counts(self):
+        with PlannerService(ServiceConfig()).start() as service:
+            raw = socket_mod.create_connection(service.address, timeout=10)
+            raw.sendall(b'{"op": "pi')
+            time.sleep(0.2)  # let the server block reading the rest
+            # Zero linger: close() sends RST instead of FIN.
+            raw.setsockopt(
+                socket_mod.SOL_SOCKET, socket_mod.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            raw.close()
+            _wait_for_connection_errors(service, 1)
+            with ServiceClient(service.address) as client:
+                assert client.ping()["ok"]
+                stats = client.stats()
+            assert stats["counters"]["connection_errors"] == 1
 
 
 class TestStartBindFailureRegression:

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.designspace import SweepPoint, run_sweep
-from repro.core.planner import plan_region
+from repro import api
+from repro.analysis.designspace import SweepPoint
+from repro.api import PlannerConfig
 from repro.designs import get_design
 from repro.exceptions import ReproError
 from repro.serialize import plan_to_json
@@ -198,9 +199,9 @@ class TestConcurrentWriters:
 class TestPlanRegionWithStore:
     def test_cached_plan_is_bit_identical(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
-        fresh = plan_region(toy_region)
-        cold = plan_region(toy_region, store=store)
-        warm = plan_region(toy_region, store=store)
+        fresh = api.plan(toy_region)
+        cold = api.plan(toy_region, config=PlannerConfig(store=store))
+        warm = api.plan(toy_region, config=PlannerConfig(store=store))
         assert (store.puts, store.hits) == (1, 1)
         assert plan_to_json(warm) == plan_to_json(fresh)
         assert plan_to_json(warm, full=True) == plan_to_json(cold, full=True)
@@ -211,17 +212,18 @@ class TestPlanRegionWithStore:
 
         region = make_region(map_index=0, n_dcs=4, dc_fibers=4).spec
         store = PlanStore(tmp_path)
-        cold = plan_region(region, store=store, jobs=1)
-        warm = plan_region(region, store=store, jobs=2)
+        cold = api.plan(region, config=PlannerConfig(store=store, jobs=1))
+        warm = api.plan(region, config=PlannerConfig(store=store, jobs=2))
         assert store.hits == 1
         assert plan_to_json(warm, full=True) == plan_to_json(cold, full=True)
-        assert plan_to_json(warm) == plan_to_json(plan_region(region, jobs=2))
+        parallel = api.plan(region, config=PlannerConfig(jobs=2))
+        assert plan_to_json(warm) == plan_to_json(parallel)
 
     def test_corrupted_blob_triggers_replan_and_heals(
         self, toy_region, tmp_path
     ):
         store = PlanStore(tmp_path)
-        plan_region(toy_region, store=store)
+        api.plan(toy_region, config=PlannerConfig(store=store))
         key = plan_key(
             design="iris",
             region=toy_region,
@@ -229,41 +231,71 @@ class TestPlanRegionWithStore:
         )
         blob = store.blob_path(key)
         blob.write_text(blob.read_text()[:100])  # torn write
-        replanned = plan_region(toy_region, store=store)
+        replanned = api.plan(toy_region, config=PlannerConfig(store=store))
         assert store.corrupt == 1 and store.puts == 2
-        assert plan_to_json(replanned) == plan_to_json(plan_region(toy_region))
+        assert plan_to_json(replanned) == plan_to_json(api.plan(toy_region))
         # The replan healed the entry: next call is a clean hit.
-        plan_region(toy_region, store=store)
+        api.plan(toy_region, config=PlannerConfig(store=store))
         assert store.hits == 1
 
     def test_loaded_plan_validates_clean(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
-        plan_region(toy_region, store=store)
-        loaded = plan_region(toy_region, store=store)
+        api.plan(toy_region, config=PlannerConfig(store=store))
+        loaded = api.plan(toy_region, config=PlannerConfig(store=store))
         assert loaded.validate() == []
-        assert loaded.inventory() == plan_region(toy_region).inventory()
+        assert loaded.inventory() == api.plan(toy_region).inventory()
+
+
+#: The store keys the toy region's iris and robust (default ensemble)
+#: plans are written under. The CLI ``--store``, the planner service and
+#: the repository benchmark compute the same keys independently, so any
+#: drift here silently splits their shared cache.
+TOY_PLAN_KEYS = {
+    "iris": "c76c4a8aa876d660c03bc383051ec7fb5ea4b59d3749aed3c72b93bfde7b04ad",
+    "robust": "78642d99abc96a083c3324d83f88922608321de2f8ad540c5ae0e9c4a4fd4ee5",
+}
+
+
+class TestPlanKeyPins:
+    @pytest.mark.parametrize("design", sorted(TOY_PLAN_KEYS))
+    def test_toy_plan_stored_under_pinned_key(self, toy_region, tmp_path, design):
+        store = PlanStore(tmp_path)
+        api.plan(toy_region, design=design, config=PlannerConfig(store=store))
+        assert store.stats().entries == 1
+        assert store.blob_path(TOY_PLAN_KEYS[design]).exists()
+
+    def test_iris_key_formula_pinned(self, toy_region):
+        from repro.core.planner import store_key
+
+        documented = plan_key(
+            design="iris",
+            region=toy_region,
+            config={"prune_enumeration": True, "validate": True},
+        )
+        assert documented == TOY_PLAN_KEYS["iris"]
+        assert store_key(toy_region, PlannerConfig()) == TOY_PLAN_KEYS["iris"]
 
 
 class TestDesignsWithStore:
     def test_iris_design_uses_the_store(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
-        cold = get_design("iris", store=store).plan(toy_region)
-        warm = get_design("iris", store=store).plan(toy_region)
+        cold = get_design("iris", config=PlannerConfig(store=store)).plan(toy_region)
+        warm = get_design("iris", config=PlannerConfig(store=store)).plan(toy_region)
         assert store.hits == 1
         assert warm == cold == get_design("iris").plan(toy_region)
 
     def test_eps_design_caches_the_topology(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
-        cold = get_design("eps", store=store).plan(toy_region)
-        warm = get_design("eps", store=store).plan(toy_region)
+        cold = get_design("eps", config=PlannerConfig(store=store)).plan(toy_region)
+        warm = get_design("eps", config=PlannerConfig(store=store)).plan(toy_region)
         assert store.hits == 1
         assert store.stats().kinds == {"topology": 1}
         assert warm == cold == get_design("eps").plan(toy_region)
 
     def test_hybrid_shares_the_iris_plan_entry(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
-        get_design("iris", store=store).plan(toy_region)
-        hybrid = get_design("hybrid", store=store).plan(toy_region)
+        get_design("iris", config=PlannerConfig(store=store)).plan(toy_region)
+        hybrid = get_design("hybrid", config=PlannerConfig(store=store)).plan(toy_region)
         assert store.hits == 1  # hybrid loaded the cached Iris plan
         assert hybrid == get_design("hybrid").plan(toy_region)
 
@@ -278,16 +310,16 @@ SWEEP_POINTS = [
 class TestSweepResume:
     def test_warm_sweep_is_record_identical(self, tmp_path):
         store = PlanStore(tmp_path)
-        cold = run_sweep(SWEEP_POINTS, store=store)
+        cold = api.sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         assert store.puts == 2  # two distinct (map, n, f) cells
-        warm = run_sweep(SWEEP_POINTS, store=store)
+        warm = api.sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         assert store.hits == 2
-        assert warm == cold == run_sweep(SWEEP_POINTS)
+        assert warm == cold == api.sweep(SWEEP_POINTS)
 
     def test_warm_sweep_matches_parallel_cold_sweep(self, tmp_path):
         store = PlanStore(tmp_path)
-        cold = run_sweep(SWEEP_POINTS, jobs=2, store=store)
-        warm = run_sweep(SWEEP_POINTS, jobs=2, store=store)
+        cold = api.sweep(SWEEP_POINTS, config=PlannerConfig(jobs=2, store=store))
+        warm = api.sweep(SWEEP_POINTS, config=PlannerConfig(jobs=2, store=store))
         assert store.hits == 2
         assert warm == cold
 
@@ -296,7 +328,8 @@ class TestSweepResume:
         script = textwrap.dedent(
             """
             import os
-            from repro.analysis.designspace import SweepPoint, run_sweep
+            from repro.analysis.designspace import SweepPoint
+            from repro.api import PlannerConfig, sweep
             from repro.store import PlanStore
 
             class DyingStore(PlanStore):
@@ -309,7 +342,8 @@ class TestSweepResume:
                 SweepPoint(0, 4, 4, 64),
                 SweepPoint(1, 4, 4, 40),
             ]
-            run_sweep(points, store=DyingStore(os.environ["STORE_DIR"]))
+            store = DyingStore(os.environ["STORE_DIR"])
+            sweep(points, config=PlannerConfig(store=store))
             """
         )
         proc = subprocess.run(
@@ -326,19 +360,19 @@ class TestSweepResume:
 
         store = PlanStore(tmp_path)
         assert store.stats().entries == 1  # exactly one cell survived
-        resumed = run_sweep(SWEEP_POINTS, store=store)
+        resumed = api.sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         # Resume replanned only the incomplete cell.
         assert store.hits == 1 and store.puts == 1
-        assert resumed == run_sweep(SWEEP_POINTS)
+        assert resumed == api.sweep(SWEEP_POINTS)
 
     def test_stale_cell_payload_replans(self, tmp_path):
         from repro.analysis.designspace import _cell_key
 
         store = PlanStore(tmp_path)
-        baseline = run_sweep(SWEEP_POINTS[:1], store=store)
+        baseline = api.sweep(SWEEP_POINTS[:1], config=PlannerConfig(store=store))
         key = _cell_key(SWEEP_POINTS[0], failure_tolerance=2)
         store.put(key, {"instance": "bogus"}, kind="sweep-cell")
-        records = run_sweep(SWEEP_POINTS[:1], store=store)
+        records = api.sweep(SWEEP_POINTS[:1], config=PlannerConfig(store=store))
         assert records == baseline
         assert store.stats().entries == 1
 

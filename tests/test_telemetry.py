@@ -6,7 +6,7 @@ import pytest
 
 from repro.control.controller import IrisController, compute_target
 from repro.control.telemetry import DemandEstimator
-from repro.core.planner import plan_region
+from repro import api
 from repro.exceptions import ControlPlaneError
 from repro.simulation.flowsim import FluidSimulator
 
@@ -70,7 +70,7 @@ class TestEstimator:
 class TestClosedLoop:
     def test_simulation_to_circuits(self, toy_region):
         """Flows -> telemetry -> demand matrix -> circuits -> devices."""
-        plan = plan_region(toy_region)
+        plan = api.plan(toy_region)
         # Offer ~32 Gbps DC1->DC3 and ~16 Gbps DC2->DC4 for one second.
         rng = random.Random(5)
         flows = []

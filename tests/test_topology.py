@@ -153,7 +153,7 @@ class TestIrisUsableDuctPrune:
         """A 75 km duct passes raw TC1 (80 km) but cannot close an Iris
         run once its two endpoint OSS traversals are charged (21.75 dB >
         20 dB), so planning must route around it."""
-        from repro.core.planner import plan_region
+        from repro import api
         from repro.units import IRIS_MAX_DUCT_KM
 
         assert IRIS_MAX_DUCT_KM == pytest.approx(68.0)
@@ -170,7 +170,7 @@ class TestIrisUsableDuctPrune:
             dc_fibers={"A": 4, "B": 4},
             constraints=OperationalConstraints(failure_tolerance=0),
         )
-        plan = plan_region(region)
+        plan = api.plan(region)
         assert ("A", "B") not in plan.topology.used_ducts
         assert plan.topology.base_paths[("A", "B")] == ("A", "M", "B")
         assert plan.validate() == []
